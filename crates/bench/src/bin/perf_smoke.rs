@@ -2,7 +2,7 @@
 //! hot paths, written as `BENCH_service.json` so the repo's performance
 //! trajectory accumulates one data point per CI run.
 //!
-//! Seven workload families — six wall-clock timings plus one
+//! Eight workload families — seven wall-clock timings plus one
 //! quality-per-evaluation race:
 //!
 //! * **annealing step** — one solver-shaped neighbour evaluation (swap a
@@ -11,6 +11,9 @@
 //! * **greedy round** — one marginal-greedy round (score every unselected
 //!   pool member as a single-worker extension), scratch vs. incremental
 //!   (median of N);
+//! * **probe round** — the same round at n = 200 on the default grid, each
+//!   extension scored by the engine's read-only `probe_push` vs. the
+//!   push/value/pop round trip it replaced;
 //! * **kernel race** — the same swap workload on a deep (~100k-slot)
 //!   bucket grid under the chunked, auto-vectorizable window kernels vs.
 //!   the scalar reference loops (`jury_jq::KernelMode`); both paths are
@@ -110,6 +113,11 @@ const SWEEP_POOL_SIZE: usize = 40;
 /// (~100k dense slots) so the chunked window passes have room to pay off.
 const KERNEL_RACE_MEMBERS: usize = 24;
 const KERNEL_RACE_BUCKETS: usize = 2000;
+/// Candidates and committed members of the probe-protocol round: a
+/// marginal-greedy round on a pool the size of the service benchmark's
+/// smaller sweep, a few workers in, on the production grid.
+const PROBE_POOL_SIZE: usize = 200;
+const PROBE_MEMBERS: usize = 8;
 
 fn random_pool(n: usize, seed: u64) -> WorkerPool {
     let generator = GaussianWorkerGenerator::paper_defaults();
@@ -259,6 +267,8 @@ fn capped_quality(pool: &WorkerPool, policy: SolverPolicy) -> f64 {
 ///   neighbour: incremental engine vs from-scratch bucket DP.
 /// * `greedy_round_incremental_vs_scratch` — one marginal-greedy round
 ///   (pool-many push/score/pop probes) vs pool-many scratch rebuilds.
+/// * `marginal_probe_vs_push_pop` — one marginal-greedy round at n = 200 on
+///   the default grid, scored by read-only `probe_push` vs push/value/pop.
 /// * `kernel_vectorized_vs_scalar` — the deep-grid swap workload under
 ///   the chunked window kernels vs the scalar reference loops.
 /// * `sweep_warm_marginal_vs_cold` / `sweep_warm_annealing_vs_cold` — a
@@ -273,9 +283,10 @@ fn capped_quality(pool: &WorkerPool, policy: SolverPolicy) -> f64 {
 ///   lanes. The baseline pins ≈ 1.0 (single-core CI sees no speedup and
 ///   must see no slowdown past the tolerance either); multi-core hosts
 ///   report > 1.
-const CHECKED_SPEEDUPS: [&str; 8] = [
+const CHECKED_SPEEDUPS: [&str; 9] = [
     "annealing_step_incremental_vs_scratch",
     "greedy_round_incremental_vs_scratch",
+    "marginal_probe_vs_push_pop",
     "kernel_vectorized_vs_scalar",
     "sweep_warm_marginal_vs_cold",
     "sweep_warm_annealing_vs_cold",
@@ -408,6 +419,44 @@ fn main() {
         std::hint::black_box(best);
     });
 
+    // Probe round: a committed worker joins, every other outsider is
+    // scored as an extension, the worker leaves again. The commit and its
+    // undo are the same in both variants; only the scoring protocol
+    // differs, so the ratio isolates it (the probe variant pays its one
+    // suffix-sum pass per committed jury inside the round).
+    let probe_pool = random_pool(PROBE_POOL_SIZE, 23);
+    let (probe_members, probe_rest) = probe_pool.workers().split_at(PROBE_MEMBERS);
+    let (probe_winner, probe_candidates) = probe_rest.split_first().expect("pool has outsiders");
+    let mut probe_engine = IncrementalJq::for_pool(
+        &probe_pool,
+        Prior::uniform(),
+        IncrementalJqConfig::default(),
+    );
+    for worker in probe_members {
+        probe_engine.push_worker(worker);
+    }
+    let mut probe_round = |probe: bool| {
+        median_us(iters, || {
+            probe_engine.push_worker(probe_winner);
+            let mut best = f64::NEG_INFINITY;
+            for worker in probe_candidates {
+                let value = if probe {
+                    probe_engine.probe_push(worker.quality())
+                } else {
+                    probe_engine.push_worker(worker);
+                    let value = probe_engine.jq();
+                    probe_engine.pop_worker(worker).expect("just pushed");
+                    value
+                };
+                best = best.max(value);
+            }
+            probe_engine.pop_worker(probe_winner).expect("just pushed");
+            std::hint::black_box(best);
+        })
+    };
+    let marginal_push_pop = probe_round(false);
+    let marginal_probe = probe_round(true);
+
     // Kernel race: the same swap workload on a deep grid, vectorized
     // window passes vs the scalar reference loops. Everything except the
     // kernel mode is identical, so the ratio isolates raw kernel
@@ -513,6 +562,7 @@ fn main() {
         "iters": iters,
         "sweep_iters": sweep_iters,
         "pool_size": POOL_SIZE,
+        "probe_pool_size": PROBE_POOL_SIZE,
         "sweep_pool_size": SWEEP_POOL_SIZE,
         "num_buckets": NUM_BUCKETS,
         "median_us": {
@@ -520,6 +570,8 @@ fn main() {
             "annealing_step_incremental": annealing_incremental,
             "greedy_round_scratch": greedy_scratch,
             "greedy_round_incremental": greedy_incremental,
+            "marginal_round_push_pop": marginal_push_pop,
+            "marginal_round_probe": marginal_probe,
             "kernel_swap_vectorized": kernel_vectorized,
             "kernel_swap_scalar": kernel_scalar,
             "sweep_cold": sweep_cold,
@@ -548,6 +600,7 @@ fn main() {
         "speedups": {
             "annealing_step_incremental_vs_scratch": annealing_scratch / annealing_incremental,
             "greedy_round_incremental_vs_scratch": greedy_scratch / greedy_incremental,
+            "marginal_probe_vs_push_pop": marginal_push_pop / marginal_probe,
             "kernel_vectorized_vs_scalar": kernel_scalar / kernel_vectorized,
             "sweep_warm_marginal_vs_cold": sweep_cold / sweep_warm_marginal,
             "sweep_warm_annealing_vs_cold": sweep_cold / sweep_warm_annealing,

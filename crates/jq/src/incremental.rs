@@ -21,6 +21,22 @@
 //! * [`IncrementalJq::swap_worker`] composes the two, so an annealing
 //!   neighbour costs `O(buckets)` instead of `O(n · buckets)`.
 //!
+//! Searches mostly *score* neighbours and commit few of them, so the
+//! engine also answers read-only **probes** that leave the tracked jury
+//! untouched:
+//!
+//! * [`IncrementalJq::probe_push`] scores `J ∪ {w}` from tail sums of the
+//!   current distribution. With `T(x) = Σ_{k>x} d[k] + ½·d[x]`, a worker
+//!   of quality `q` on bucket `b` gives `JQ(J ∪ {w}) = q·T(−b) +
+//!   (1−q)·T(b)`; the suffix sums behind `T` are built once per committed
+//!   state (`O(buckets)`), after which each probe is `O(1)`;
+//! * [`IncrementalJq::probe_swap`] scores `J − {out} + {in}` by
+//!   deconvolving `out` into the scratch buffer (same stability guard and
+//!   rebuild fallback as a pop) and reading `T` of that distribution for
+//!   `in`; [`IncrementalJq::commit_swap`] then reuses the deconvolved
+//!   buffer, so an accepted swap costs one convolution more and a rejected
+//!   one costs nothing to undo.
+//!
 //! The engine works on a **fixed bucket grid** chosen once per candidate
 //! pool ([`IncrementalJq::for_pool`]), unlike the scratch estimator whose
 //! grid is re-derived per jury; with the same grid the two produce identical
@@ -53,6 +69,11 @@
 //! engine.swap_worker(&a, &c).unwrap();
 //! assert!((engine.jq() - 0.845).abs() < 1e-3);
 //! assert!(neighbour < 0.87);
+//!
+//! // The same neighbour as a read-only probe: nothing to undo.
+//! let probed = engine.probe_swap(c.quality(), a.quality()).unwrap();
+//! assert!((probed - neighbour).abs() < 1e-12);
+//! assert!((engine.jq() - 0.845).abs() < 1e-3);
 //! ```
 
 use jury_model::{log_odds, Prior, Worker, WorkerPool};
@@ -144,6 +165,22 @@ pub(crate) struct Member {
     quality: f64,
 }
 
+/// What an [`IncrementalJq`]'s `scratch` buffer holds between calls. Every
+/// mutation of the tracked jury (push, pop, swap, rebuild) leaves it
+/// `Stale`; only the probes fill it with something they can reuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScratchContents {
+    /// Nothing a probe can read.
+    Stale,
+    /// Suffix sums of `dist`, `scratch[i] = Σ_{j ≥ i} dist[j]`: the tail
+    /// masses [`IncrementalJq::probe_push`] reads.
+    SuffixSums,
+    /// The distribution of the jury without the member at this position of
+    /// `members`, left by [`IncrementalJq::probe_swap`] for
+    /// [`IncrementalJq::commit_swap`].
+    Without(usize),
+}
+
 /// Stateful, incrementally-updatable estimator of `JQ(J, BV, α)` on a fixed
 /// bucket grid (see the [module docs](crate::incremental) for the contract
 /// and the solver-facing walkthrough).
@@ -174,8 +211,10 @@ pub struct IncrementalJq {
     dist: Vec<f64>,
     /// Double-buffer for convolution/deconvolution targets, swapped with
     /// `dist` on success so the hot path never allocates once the buffers
-    /// have grown to the working size.
+    /// have grown to the working size. Between mutations the probes park
+    /// their working data here (see `scratch_holds`).
     scratch: Vec<f64>,
+    scratch_holds: ScratchContents,
     total: i64,
     kernel: KernelMode,
     stats: IncrementalStats,
@@ -202,6 +241,7 @@ impl IncrementalJq {
             members: arena.take_members(),
             dist,
             scratch: arena.take_buffer(),
+            scratch_holds: ScratchContents::Stale,
             total: 0,
             kernel: KernelMode::default(),
             stats: IncrementalStats::default(),
@@ -305,14 +345,31 @@ impl IncrementalJq {
     /// reinterpreted as their effective quality `max(q, 1 − q)`
     /// (Section 3.3), exactly like the scratch estimator.
     pub fn push_quality(&mut self, quality: f64) {
-        let q = quality.max(1.0 - quality);
-        let b = bucket_index(log_odds(q), self.bucket_size);
-        self.convolve_in(b, q);
-        self.members.push(Member {
-            bucket: b,
-            quality: q,
-        });
+        let member = self.member_for(quality);
+        self.convolve_in(member.bucket, member.quality);
+        self.members.push(member);
+        self.scratch_holds = ScratchContents::Stale;
         self.stats.pushes += 1;
+    }
+
+    /// The tracked form of a raw quality: its effective quality
+    /// `max(q, 1 − q)` and that quality's bucket on this engine's grid.
+    fn member_for(&self, quality: f64) -> Member {
+        let q = quality.max(1.0 - quality);
+        Member {
+            bucket: bucket_index(log_odds(q), self.bucket_size),
+            quality: q,
+        }
+    }
+
+    /// Position in `members` of the last member pushed with the effective
+    /// quality of `quality`.
+    fn position_of(&self, quality: f64) -> JqResult<usize> {
+        let q = quality.max(1.0 - quality);
+        self.members
+            .iter()
+            .rposition(|m| m.quality.to_bits() == q.to_bits())
+            .ok_or(JqError::NotAMember { quality })
     }
 
     /// Removes a worker by exact deconvolution: `O(buckets)`, with a
@@ -332,13 +389,9 @@ impl IncrementalJq {
     ///
     /// Returns [`JqError::NotAMember`] when the quality was never pushed.
     pub fn pop_quality(&mut self, quality: f64) -> JqResult<()> {
-        let q = quality.max(1.0 - quality);
-        let position = self
-            .members
-            .iter()
-            .rposition(|m| m.quality.to_bits() == q.to_bits())
-            .ok_or(JqError::NotAMember { quality })?;
+        let position = self.position_of(quality)?;
         let member = self.members.swap_remove(position);
+        self.scratch_holds = ScratchContents::Stale;
         self.stats.pops += 1;
         if member.bucket == 0 {
             // A zero-bucket factor is the identity convolution regardless of
@@ -369,6 +422,96 @@ impl IncrementalJq {
     /// Returns [`JqError::NotAMember`] when `out_quality` was never pushed.
     pub fn swap_quality(&mut self, out_quality: f64, in_quality: f64) -> JqResult<()> {
         self.pop_quality(out_quality)?;
+        self.push_quality(in_quality);
+        self.stats.swaps += 1;
+        Ok(())
+    }
+
+    /// The JQ the jury would have with one more worker of raw quality
+    /// `quality`, without changing the tracked jury: the value
+    /// `push_quality` + [`Self::jq`] + `pop_quality` would read, to
+    /// floating-point noise.
+    ///
+    /// With `T(x) = Σ_{k>x} d[k] + ½·d[x]` over the current distribution
+    /// `d`, adding a worker of effective quality `q` on bucket `b` gives
+    /// `q·T(−b) + (1−q)·T(b)`. The suffix sums behind `T` live in the
+    /// scratch buffer and are rebuilt (`O(buckets)`) only after the jury
+    /// changed, so a round of probes against one jury costs `O(1)` each.
+    pub fn probe_push(&mut self, quality: f64) -> f64 {
+        if self.scratch_holds != ScratchContents::SuffixSums {
+            let suffix = &mut self.scratch;
+            suffix.clear();
+            suffix.resize(self.dist.len(), 0.0);
+            let mut above = 0.0;
+            for (s, &p) in suffix.iter_mut().zip(&self.dist).rev() {
+                above += p;
+                *s = above;
+            }
+            self.scratch_holds = ScratchContents::SuffixSums;
+        }
+        let (suffix, dist) = (&self.scratch, &self.dist);
+        let tail = |key: i64| match usize::try_from(self.total + key) {
+            Err(_) => suffix[0],
+            Ok(slot) if slot >= dist.len() => 0.0,
+            Ok(slot) => suffix.get(slot + 1).copied().unwrap_or(0.0) + 0.5 * dist[slot],
+        };
+        let member = self.member_for(quality);
+        let q = member.quality;
+        (q * tail(-member.bucket) + (1.0 - q) * tail(member.bucket)).clamp(0.0, 1.0)
+    }
+
+    /// The JQ the jury would have after swapping `out_quality` for
+    /// `in_quality`, without changing the tracked jury: the value
+    /// [`Self::swap_quality`] + [`Self::jq`] would read, to floating-point
+    /// noise.
+    ///
+    /// `out` is deconvolved into the scratch buffer under the same
+    /// stability guard as a pop (a rejected deconvolution rebuilds the jury
+    /// without `out` there instead), and `in` is scored from that
+    /// distribution's tail sums. The buffer stays parked for
+    /// [`Self::commit_swap`]; a rejected swap needs no undo.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JqError::NotAMember`] when `out_quality` was never pushed.
+    pub fn probe_swap(&mut self, out_quality: f64, in_quality: f64) -> JqResult<f64> {
+        let position = self.position_of(out_quality)?;
+        let out = self.members[position];
+        if out.bucket == 0 {
+            // A zero-bucket member is the identity factor: the jury
+            // without it has the current distribution.
+            return Ok(self.probe_push(in_quality));
+        }
+        if self.scratch_holds != ScratchContents::Without(position)
+            && !self.deconvolve_into_scratch(out.bucket, out.quality)
+        {
+            self.rebuild_without_into_scratch(position);
+        }
+        self.scratch_holds = ScratchContents::Without(position);
+        let incoming = self.member_for(in_quality);
+        let (below, above) = tails(&self.scratch, self.total - out.bucket, incoming.bucket);
+        let q = incoming.quality;
+        Ok((q * below + (1.0 - q) * above).clamp(0.0, 1.0))
+    }
+
+    /// Applies a swap, reusing the distribution a preceding
+    /// [`Self::probe_swap`] of the same `out` left in the scratch buffer:
+    /// one convolution instead of a deconvolution plus a convolution.
+    /// Without such a probe it is exactly [`Self::swap_quality`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JqError::NotAMember`] (leaving the state untouched) when
+    /// `out_quality` was never pushed.
+    pub fn commit_swap(&mut self, out_quality: f64, in_quality: f64) -> JqResult<()> {
+        let position = self.position_of(out_quality)?;
+        if self.scratch_holds != ScratchContents::Without(position) {
+            return self.swap_quality(out_quality, in_quality);
+        }
+        let out = self.members.swap_remove(position);
+        std::mem::swap(&mut self.dist, &mut self.scratch);
+        self.total -= out.bucket;
+        self.stats.pops += 1;
         self.push_quality(in_quality);
         self.stats.swaps += 1;
         Ok(())
@@ -407,6 +550,28 @@ impl IncrementalJq {
             self.convolve_in(member.bucket, member.quality);
         }
         self.members = members;
+        self.scratch_holds = ScratchContents::Stale;
+        self.stats.rebuilds += 1;
+    }
+
+    /// The probe-side rebuild fallback: the distribution of the jury
+    /// without `members[position]`, built in the scratch buffer alone so
+    /// `dist` stays untouched. Members are folded in the order
+    /// `pop_quality`'s rebuild would use after its `swap_remove`.
+    fn rebuild_without_into_scratch(&mut self, position: usize) {
+        self.scratch.clear();
+        self.scratch.push(1.0);
+        let last = self.members.len() - 1;
+        for i in 0..last {
+            let member = self.members[if i == position { last } else { i }];
+            if member.bucket != 0 {
+                kernel::convolve_spikes_in_place(
+                    &mut self.scratch,
+                    member.bucket as usize,
+                    member.quality,
+                );
+            }
+        }
         self.stats.rebuilds += 1;
     }
 
@@ -435,8 +600,19 @@ impl IncrementalJq {
     /// (`old[k] = (new[k+b] − (1−q)·old[k+2b]) / q`). Returns `false` when
     /// the stability guard rejects the result, leaving the state unchanged.
     fn deconvolve_out(&mut self, bucket: i64, quality: f64) -> bool {
+        let ok = self.deconvolve_into_scratch(bucket, quality);
+        if ok {
+            std::mem::swap(&mut self.dist, &mut self.scratch);
+            self.total -= bucket;
+        }
+        ok
+    }
+
+    /// The deconvolution of [`Self::deconvolve_out`], written into the
+    /// scratch buffer only; `false` when the stability guard rejects it.
+    fn deconvolve_into_scratch(&mut self, bucket: i64, quality: f64) -> bool {
         let step = bucket as usize;
-        let ok = match self.kernel {
+        match self.kernel {
             KernelMode::Vectorized => kernel::deconvolve_spikes(
                 &self.dist,
                 &mut self.scratch,
@@ -451,13 +627,33 @@ impl IncrementalJq {
                 quality,
                 self.tolerance,
             ),
-        };
-        if ok {
-            std::mem::swap(&mut self.dist, &mut self.scratch);
-            self.total -= bucket;
         }
-        ok
     }
+}
+
+/// `(T(−b), T(b))` with `T(x) = Σ_{k>x} d[k] + ½·d[x]`, for a dense
+/// distribution `dist` over keys `[-total, total]`: the two tail masses an
+/// extension by a bucket-`b` worker combines (see
+/// [`IncrementalJq::probe_push`]). One pass over the keys above `−b`.
+fn tails(dist: &[f64], total: i64, bucket: i64) -> (f64, f64) {
+    let len = dist.len();
+    let high_slot = usize::try_from(total + bucket)
+        .expect("keys and buckets are non-negative")
+        .min(len);
+    let above_high: f64 = dist.get(high_slot + 1..).map_or(0.0, |s| s.iter().sum());
+    let at_high = dist.get(high_slot).copied().unwrap_or(0.0);
+    let high = above_high + 0.5 * at_high;
+    if bucket == 0 {
+        return (high, high);
+    }
+    let low = match usize::try_from(total - bucket) {
+        Ok(low_slot) => {
+            let between: f64 = dist[low_slot + 1..high_slot].iter().sum();
+            above_high + at_high + between + 0.5 * dist[low_slot]
+        }
+        Err(_) => above_high + at_high + dist[..high_slot].iter().sum::<f64>(),
+    };
+    (low, high)
 }
 
 /// Stateful, incrementally-updatable computation of `JQ(J, MV, α)` — the
@@ -840,6 +1036,12 @@ mod tests {
         let before = engine.jq();
         let err = engine.pop_quality(0.7).unwrap_err();
         assert!(matches!(err, JqError::NotAMember { .. }));
+        for err in [
+            engine.probe_swap(0.7, 0.9).unwrap_err(),
+            engine.commit_swap(0.7, 0.9).unwrap_err(),
+        ] {
+            assert!(matches!(err, JqError::NotAMember { .. }));
+        }
         assert_eq!(engine.jq(), before);
         assert_eq!(engine.len(), 1);
         // Adversarial aliases resolve to the same effective member.
@@ -1038,6 +1240,69 @@ mod tests {
                         "vectorized {} vs rebuild {}", fast.jq(), rebuilt.jq());
                 }
                 prop_assert!((fast.jq() - fast.from_scratch_jq()).abs() <= 1e-12);
+            }
+
+            /// The read-only probes agree with the mutating protocol they
+            /// replace — `probe_push` with push + `jq`, `probe_swap` with
+            /// `swap_quality` + `jq`, both to 1e-12 — leave the tracked
+            /// distribution bit-identical, and a committed probe lands
+            /// where `swap_quality` does. Both kernel modes, with the
+            /// stability guard at its default and forced to fire
+            /// (tolerance 0).
+            #[test]
+            fn probes_match_the_mutating_protocol(
+                ops in ops(),
+                probes in proptest::collection::vec((0usize..1000, 0.5f64..0.995), 1..4),
+                delta in 0.03f64..0.1,
+            ) {
+                for kernel in [KernelMode::Vectorized, KernelMode::ScalarReference] {
+                    for tolerance in [1e-10, 0.0] {
+                        let mut engine = IncrementalJq::new(delta)
+                            .with_kernel_mode(kernel)
+                            .with_stability_tolerance(tolerance);
+                        let mut live: Vec<f64> = Vec::new();
+                        for op in &ops {
+                            match *op {
+                                Op::Push(q) => {
+                                    engine.push_quality(q);
+                                    live.push(q);
+                                }
+                                Op::Pop(i) => {
+                                    if live.is_empty() { continue; }
+                                    engine.pop_quality(live.swap_remove(i % live.len())).unwrap();
+                                }
+                                Op::Swap(i, incoming) => {
+                                    if live.is_empty() { continue; }
+                                    let idx = i % live.len();
+                                    let out = std::mem::replace(&mut live[idx], incoming);
+                                    let mut reference = engine.clone();
+                                    reference.swap_quality(out, incoming).unwrap();
+                                    engine.probe_swap(out, incoming).unwrap();
+                                    engine.commit_swap(out, incoming).unwrap();
+                                    prop_assert!((engine.jq() - reference.jq()).abs() <= 1e-12,
+                                        "committed {} vs swapped {}", engine.jq(), reference.jq());
+                                }
+                            }
+                            let before: Vec<u64> = engine.dist.iter().map(|p| p.to_bits()).collect();
+                            for &(i, q) in &probes {
+                                let mut pushed = engine.clone();
+                                pushed.push_quality(q);
+                                let probed = engine.probe_push(q);
+                                prop_assert!((probed - pushed.jq()).abs() <= 1e-12,
+                                    "probe_push {} vs push {}", probed, pushed.jq());
+                                if live.is_empty() { continue; }
+                                let out = live[i % live.len()];
+                                let mut swapped = engine.clone();
+                                swapped.swap_quality(out, q).unwrap();
+                                let probed = engine.probe_swap(out, q).unwrap();
+                                prop_assert!((probed - swapped.jq()).abs() <= 1e-12,
+                                    "probe_swap {} vs swap {}", probed, swapped.jq());
+                            }
+                            let after: Vec<u64> = engine.dist.iter().map(|p| p.to_bits()).collect();
+                            prop_assert_eq!(before, after, "a probe changed the distribution");
+                        }
+                    }
+                }
             }
 
             /// The same invariant for the MV Poisson-binomial engine.

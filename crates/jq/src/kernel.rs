@@ -303,6 +303,27 @@ pub(crate) fn convolve_spikes_scalar(dist: &[f64], out: &mut Vec<f64>, step: usi
     }
 }
 
+/// [`convolve_spikes`] with `dist` as its own target, for the one caller
+/// that has no second buffer to spare (the probe-side rebuild fallback of
+/// `IncrementalJq::probe_swap`, which must leave the engine's state
+/// buffer untouched). Cells are filled top-down, so every cell reads only
+/// source cells at or below it that are not yet overwritten; the
+/// arithmetic is that of [`convolve_spikes`], cell for cell.
+pub(crate) fn convolve_spikes_in_place(dist: &mut Vec<f64>, step: usize, quality: f64) {
+    let width = 2 * step;
+    let len = dist.len();
+    dist.resize(len + width, 0.0);
+    let one_minus = 1.0 - quality;
+    for i in (0..len + width).rev() {
+        let stay = if i < len { dist[i] * one_minus } else { 0.0 };
+        dist[i] = if i >= width {
+            fmadd(dist[i - width], quality, stay)
+        } else {
+            stay
+        };
+    }
+}
+
 /// Vectorized exact deconvolution: removes a worker spike pair from `new`,
 /// writing the shrunk distribution into `out`. Returns `false` (engine
 /// falls back to a rebuild) if the result is not a clean probability
@@ -521,6 +542,20 @@ mod tests {
                 for (a, b) in fast.iter().zip(&slow) {
                     assert!((a - b).abs() <= 1e-15, "{a} vs {b}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_convolve_matches_the_vectorized_pass_bit_for_bit() {
+        for seed in 0..8u64 {
+            for &step in &[1usize, 2, 5, 40] {
+                let dist = random_dist(3 + (seed as usize) * 11, seed);
+                let mut out = Vec::new();
+                convolve_spikes(&dist, &mut out, step, 0.67);
+                let mut in_place = dist.clone();
+                convolve_spikes_in_place(&mut in_place, step, 0.67);
+                assert_eq!(in_place, out);
             }
         }
     }

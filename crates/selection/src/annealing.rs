@@ -25,11 +25,12 @@
 //! best jury over all candidates is returned.
 //!
 //! When the objective offers an incremental session (see
-//! [`crate::objective::IncrementalSession`]), each add/swap step mutates a
-//! live dense-DP state in `O(buckets)` instead of re-evaluating a cloned
-//! jury from scratch — the engine behind the paper's "thousands of JQ
-//! evaluations per search" hot path. Final juries are always re-scored
-//! through the batch objective, so reported qualities are unaffected.
+//! [`crate::objective::IncrementalSession`]), each add step mutates a live
+//! dense-DP state and each swap is scored by a probe of it, in
+//! `O(buckets)` instead of re-evaluating a cloned jury from scratch — the
+//! engine behind the paper's "thousands of JQ evaluations per search" hot
+//! path. Final juries are always re-scored through the batch objective, so
+//! reported qualities are unaffected.
 
 use std::time::Instant;
 
@@ -39,7 +40,7 @@ use rand::{Rng, SeedableRng};
 use jury_model::{Jury, Worker};
 
 use crate::budget::SearchBudget;
-use crate::objective::{IncrementalSession, JuryObjective};
+use crate::objective::{IncrementalSession, JuryObjective, PROBE_TIE_TOLERANCE};
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
 
@@ -163,6 +164,9 @@ pub struct AnnealingSolver<O: JuryObjective> {
 pub(crate) struct SearchState {
     pub(crate) selected: Vec<bool>,
     pub(crate) jury_members: Vec<Worker>,
+    /// Pool indices of the jury members, ascending, so a random member or
+    /// non-member is picked without scanning the pool.
+    member_indices: Vec<usize>,
     pub(crate) spent: f64,
     pub(crate) current_value: Option<f64>,
 }
@@ -172,6 +176,7 @@ impl SearchState {
         SearchState {
             selected: vec![false; n],
             jury_members: Vec::new(),
+            member_indices: Vec::new(),
             spent: 0.0,
             current_value: None,
         }
@@ -181,27 +186,38 @@ impl SearchState {
         Jury::new(self.jury_members.clone())
     }
 
-    pub(crate) fn selected_indices(&self) -> Vec<usize> {
-        self.selected
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| i)
-            .collect()
+    /// Pool indices of the selected workers, ascending.
+    pub(crate) fn selected_indices(&self) -> &[usize] {
+        &self.member_indices
     }
 
-    fn unselected_indices(&self) -> Vec<usize> {
-        self.selected
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| !s)
-            .map(|(i, _)| i)
-            .collect()
+    fn unselected_count(&self) -> usize {
+        self.selected.len() - self.member_indices.len()
+    }
+
+    /// The `k`-th unselected pool index in ascending order, in `O(m)` for a
+    /// jury of `m` members: every member at or below the candidate pushes
+    /// it one index up.
+    fn nth_unselected(&self, k: usize) -> usize {
+        let mut index = k;
+        for &member in &self.member_indices {
+            if member > index {
+                break;
+            }
+            index += 1;
+        }
+        index
+    }
+
+    fn insert_index(&mut self, index: usize) {
+        let at = self.member_indices.partition_point(|&i| i < index);
+        self.member_indices.insert(at, index);
     }
 
     pub(crate) fn add(&mut self, index: usize, worker: &Worker) {
         self.selected[index] = true;
         self.jury_members.push(worker.clone());
+        self.insert_index(index);
         self.spent += worker.cost();
         self.current_value = None;
     }
@@ -217,6 +233,8 @@ impl SearchState {
         self.selected[in_index] = true;
         self.jury_members.retain(|w| w.id() != out_worker.id());
         self.jury_members.push(in_worker.clone());
+        self.member_indices.retain(|&i| i != out_index);
+        self.insert_index(in_index);
         self.spent += in_worker.cost() - out_worker.cost();
         self.current_value = None;
     }
@@ -322,9 +340,11 @@ impl<O: JuryObjective> AnnealingSolver<O> {
     /// One call of Algorithm 4: attempt to swap worker `r` with a randomly
     /// chosen counterpart on the other side of the selection.
     ///
-    /// With an active session the candidate is evaluated in place — swap in,
-    /// read the value, and swap back on rejection — so a neighbour costs
-    /// `O(buckets)`; without one it falls back to evaluating a cloned jury.
+    /// With an active session the candidate is scored by
+    /// [`IncrementalSession::probe_swap`] and then committed or reverted,
+    /// so a neighbour costs `O(buckets)` (the BV session's probe leaves its
+    /// state untouched, so a rejection costs nothing more); without one it
+    /// falls back to evaluating a cloned jury.
     fn try_swap(
         &self,
         state: &mut SearchState,
@@ -343,11 +363,11 @@ impl<O: JuryObjective> AnnealingSolver<O> {
             }
             (selected[rng.gen_range(0..selected.len())], r)
         } else {
-            let unselected = state.unselected_indices();
-            if unselected.is_empty() {
+            let unselected = state.unselected_count();
+            if unselected == 0 {
                 return;
             }
-            (r, unselected[rng.gen_range(0..unselected.len())])
+            (r, state.nth_unselected(rng.gen_range(0..unselected)))
         };
         let out_worker = &workers[out_index];
         let in_worker = &workers[in_index];
@@ -357,8 +377,9 @@ impl<O: JuryObjective> AnnealingSolver<O> {
 
         let current = self.current_value(state, instance, session);
         let candidate_value = match session {
-            Some(live) => {
-                if !live.pop(out_worker) {
+            Some(live) => match live.probe_swap(out_worker, in_worker) {
+                Some(value) => value,
+                None => {
                     // The session lost track of the jury (cannot happen with
                     // the engines shipped here, but a third-party objective
                     // might misbehave): abandon it and fall back.
@@ -366,9 +387,7 @@ impl<O: JuryObjective> AnnealingSolver<O> {
                     state.current_value = None;
                     return self.try_swap(state, instance, r, temperature, rng, session);
                 }
-                live.push(in_worker);
-                live.value()
-            }
+            },
             None => {
                 let mut candidate_members: Vec<Worker> = state
                     .jury_members
@@ -383,14 +402,18 @@ impl<O: JuryObjective> AnnealingSolver<O> {
         };
         let delta = candidate_value - current;
 
-        let accept = delta >= 0.0 || rng.gen::<f64>() <= (delta / temperature).exp();
+        // A tie within the probe tolerance is a zero delta: accepted
+        // outright, without a draw, whatever the sign of its rounding.
+        let accept =
+            delta >= -PROBE_TIE_TOLERANCE || rng.gen::<f64>() <= (delta / temperature).exp();
         if accept {
+            if let Some(live) = session {
+                live.commit_swap(out_worker, in_worker);
+            }
             state.swap(out_index, out_worker, in_index, in_worker);
             state.current_value = Some(candidate_value);
         } else if let Some(live) = session {
-            // Revert the in-place trial swap.
-            live.pop(in_worker);
-            live.push(out_worker);
+            live.revert_swap(out_worker, in_worker);
             state.current_value = Some(current);
         }
     }
@@ -582,6 +605,35 @@ mod tests {
 
     fn paper_instance(budget: f64) -> JspInstance {
         JspInstance::with_uniform_prior(paper_example_pool(), budget).unwrap()
+    }
+
+    #[test]
+    fn search_state_indexes_members_and_non_members_in_pool_order() {
+        let pool = paper_example_pool();
+        let workers = pool.workers();
+        let mut state = SearchState::new(workers.len());
+        let ascending = |state: &SearchState, selected: bool| -> Vec<usize> {
+            (0..workers.len())
+                .filter(|&i| state.selected[i] == selected)
+                .collect()
+        };
+        let check = |state: &SearchState| {
+            assert_eq!(state.selected_indices(), ascending(state, true).as_slice());
+            let unselected = ascending(state, false);
+            assert_eq!(state.unselected_count(), unselected.len());
+            for (k, &index) in unselected.iter().enumerate() {
+                assert_eq!(state.nth_unselected(k), index);
+            }
+        };
+        check(&state);
+        for index in [4, 1, 6] {
+            state.add(index, &workers[index]);
+            check(&state);
+        }
+        state.swap(1, &workers[1], 0, &workers[0]);
+        check(&state);
+        state.swap(6, &workers[6], 5, &workers[5]);
+        check(&state);
     }
 
     #[test]

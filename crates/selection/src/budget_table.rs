@@ -68,9 +68,9 @@ impl BudgetQualityTable {
     /// objective offers one — is carried from each budget to the next in
     /// ascending order. Moving from budget `b` to `b + 1` only pushes the
     /// marginal workers the extra budget affords (each committed after
-    /// pool-many `O(buckets)` push/value/pop probes); nothing is re-solved
-    /// cold. Every row's reported quality is still a from-scratch score by
-    /// the batch objective.
+    /// pool-many read-only session probes); nothing is re-solved cold.
+    /// Every row's reported quality is still a from-scratch score by the
+    /// batch objective, taken once per distinct carried jury.
     ///
     /// The sweep reproduces a cold [`crate::GreedyMarginalSolver`] run at
     /// every budget whenever greedy prefixes nest — uniform-cost pools in
@@ -139,15 +139,24 @@ impl BudgetQualityTable {
         let mut search = MarginalSearch::new(objective, &instance).with_budget(search_budget);
 
         let mut rows: Vec<Option<BudgetQualityRow>> = budgets.iter().map(|_| None).collect();
+        // The carried jury only grows, so a row whose search committed no
+        // new worker repeats the previous row's jury and its score.
+        let mut scored: Option<(usize, f64)> = None;
         for &slot in &order {
             let budget = budgets[slot];
             search.extend_to(pool.workers(), budget);
+            let size = search.jury().size();
+            let quality = match scored {
+                Some((scored_size, quality)) if scored_size == size => quality,
+                _ => objective.evaluate(search.jury(), prior),
+            };
+            scored = Some((size, quality));
             let mut jury = search.jury().ids();
             jury.sort();
             rows[slot] = Some(BudgetQualityRow {
                 budget,
                 jury,
-                quality: objective.evaluate(search.jury(), prior),
+                quality,
                 required_budget: search.spent(),
             });
         }

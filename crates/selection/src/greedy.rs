@@ -12,8 +12,9 @@
 //! * [`GreedyMarginalSolver`] — objective-driven forward selection: each
 //!   round scores **every** affordable single-worker extension of the
 //!   current jury and commits the best one. Through the objective's
-//!   incremental session a round costs pool-many `O(buckets)` push/evaluate/
-//!   pop probes instead of pool-many from-scratch JQ computations.
+//!   incremental session a round costs pool-many read-only probes (`O(1)`
+//!   each on the BV session, after one `O(buckets)` pass per committed
+//!   worker) instead of pool-many from-scratch JQ computations.
 //!
 //! The first two also serve as cheap initial solutions for the annealing
 //! search.
@@ -23,8 +24,7 @@ use std::time::Instant;
 use jury_model::{Jury, Prior, Worker};
 
 use crate::budget::SearchBudget;
-use crate::objective::{IncrementalSession, JuryObjective};
-use crate::parallel::ParallelPolicy;
+use crate::objective::{IncrementalSession, JuryObjective, PROBE_TIE_TOLERANCE};
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
 
@@ -130,7 +130,6 @@ impl<O: JuryObjective> JurySolver for GreedyRatioSolver<O> {
 pub struct GreedyMarginalSolver<O: JuryObjective> {
     objective: O,
     budget: SearchBudget,
-    parallel: ParallelPolicy,
 }
 
 impl<O: JuryObjective> GreedyMarginalSolver<O> {
@@ -139,7 +138,6 @@ impl<O: JuryObjective> GreedyMarginalSolver<O> {
         GreedyMarginalSolver {
             objective,
             budget: SearchBudget::unlimited(),
-            parallel: ParallelPolicy::Sequential,
         }
     }
 
@@ -151,28 +149,7 @@ impl<O: JuryObjective> GreedyMarginalSolver<O> {
         self.budget = budget;
         self
     }
-
-    /// Spreads each round's pool-many probes across threads (each thread
-    /// replays the round's base jury into its own incremental session, so
-    /// probe values are identical to the sequential ones and the round
-    /// winner — chosen by the sequential pool-order scan over the collected
-    /// values — is thread-count-invariant). The default is
-    /// [`ParallelPolicy::Sequential`], a bit-identical replay of the
-    /// pre-parallel solver.
-    pub fn with_parallelism(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
-        self
-    }
 }
-
-/// Probe values within this tolerance are treated as tied. JQ plateaus are
-/// real — e.g. every second juror added to a strong first one leaves the
-/// two-juror BV quality at the stronger quality — and on a plateau the
-/// push/value/pop probes return values separated only by floating-point
-/// drift of the incremental engine. Without a tolerance that drift, not the
-/// deterministic earlier-pool-position rule, would pick the committed
-/// worker (and could trip the stop rule on an exact tie).
-const PROBE_TIE_TOLERANCE: f64 = 1e-9;
 
 /// Mutable state of a marginal-gain forward selection, shared by
 /// [`GreedyMarginalSolver`] and the warm-started budget sweep of
@@ -189,11 +166,6 @@ pub(crate) struct MarginalSearch<'a, O: JuryObjective> {
     current_value: f64,
     budget: SearchBudget,
     truncated: bool,
-    parallel: ParallelPolicy,
-    /// Owned copy of the instance, present only in threaded mode: probe
-    /// threads open their own sessions from it (sessions are not `Send`,
-    /// so each is created and dropped inside its thread).
-    parallel_instance: Option<JspInstance>,
 }
 
 impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
@@ -216,8 +188,6 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
             current_value,
             budget: SearchBudget::unlimited(),
             truncated: false,
-            parallel: ParallelPolicy::Sequential,
-            parallel_instance: None,
         }
     }
 
@@ -225,22 +195,6 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     /// [`GreedyMarginalSolver::with_budget`].
     pub(crate) fn with_budget(mut self, budget: SearchBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Enables threaded probe rounds (see
-    /// [`GreedyMarginalSolver::with_parallelism`]). The instance is cloned
-    /// only when the policy actually spawns threads; sequential searches
-    /// keep their zero-copy construction.
-    pub(crate) fn with_parallelism(
-        mut self,
-        parallel: ParallelPolicy,
-        instance: &JspInstance,
-    ) -> Self {
-        self.parallel = parallel;
-        if parallel.is_threaded() {
-            self.parallel_instance = Some(instance.clone());
-        }
         self
     }
 
@@ -297,8 +251,9 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     }
 
     /// Greedy rounds up to `budget`: each round scores **every** affordable
-    /// single-worker extension of the current jury (in place through the
-    /// session: push, read, pop) and commits the best one; ties keep the
+    /// single-worker extension of the current jury (through the session's
+    /// read-only [`IncrementalSession::probe_push`]) and commits the best
+    /// one; ties keep the
     /// earlier pool position, so runs are deterministic. The search stops
     /// when nothing fits or — protecting objectives that are not monotone
     /// in the jury size, like `JQ(MV)` — when the best extension scores
@@ -306,17 +261,12 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
     /// filling the budget. Calling it again with a larger budget resumes
     /// from the committed state (the warm-start contract).
     pub(crate) fn extend_to(&mut self, workers: &[Worker], budget: f64) {
-        if self.parallel.is_threaded() && self.parallel_instance.is_some() && !workers.is_empty() {
-            let lanes = self.parallel.lanes(workers.len());
-            return self.extend_to_parallel(workers, budget, lanes);
-        }
         loop {
             let mut best: Option<(usize, f64)> = None;
             for (index, worker) in workers.iter().enumerate() {
-                // Cooperative checkpoint, placed between probes so the
-                // push/pop session stays balanced; an exhausted budget
-                // abandons the uncommitted round and keeps the jury built
-                // so far (anytime semantics).
+                // Cooperative checkpoint between probes; an exhausted
+                // budget abandons the uncommitted round and keeps the jury
+                // built so far (anytime semantics).
                 if self.budget.exhausted(self.objective.evaluations()) {
                     self.truncated = true;
                     return;
@@ -324,157 +274,21 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
                 if self.selected[index] || self.spent + worker.cost() > budget + 1e-12 {
                     continue;
                 }
-                let mut session_broken = false;
-                let mut value = match &mut self.session {
-                    Some(live) => {
-                        live.push(worker);
-                        let value = live.value();
-                        session_broken = !live.pop(worker);
-                        value
+                let value = match self.session.as_mut().map(|live| live.probe_push(worker)) {
+                    Some(Some(value)) => value,
+                    probed => {
+                        if probed.is_some() {
+                            // The session lost track of its jury. Cannot
+                            // happen with the shipped engines; guard against
+                            // misbehaving third-party sessions by falling
+                            // back to batch evaluation for the rest of the
+                            // search.
+                            self.session = None;
+                        }
+                        self.objective
+                            .evaluate(&self.jury.with_worker(worker.clone()), self.prior)
                     }
-                    None => self
-                        .objective
-                        .evaluate(&self.jury.with_worker(worker.clone()), self.prior),
                 };
-                if session_broken {
-                    // Cannot happen with the shipped engines; guard against
-                    // misbehaving third-party sessions by falling back to
-                    // batch evaluation for the rest of the search.
-                    self.session = None;
-                    value = self
-                        .objective
-                        .evaluate(&self.jury.with_worker(worker.clone()), self.prior);
-                }
-                if best.is_none_or(|(_, best_value)| value > best_value + PROBE_TIE_TOLERANCE) {
-                    best = Some((index, value));
-                }
-            }
-            let Some((index, best_value)) = best else {
-                break;
-            };
-            if best_value < self.current_value - PROBE_TIE_TOLERANCE {
-                break;
-            }
-            self.selected[index] = true;
-            self.spent += workers[index].cost();
-            self.jury.push(workers[index].clone());
-            if let Some(live) = &mut self.session {
-                live.push(&workers[index]);
-            }
-            self.current_value = best_value;
-        }
-    }
-
-    /// [`extend_to`](Self::extend_to) with each round's probes spread over
-    /// `lanes` scoped threads. Every lane opens its own incremental session
-    /// (sessions are not `Send`) and replays the round's base jury, so each
-    /// probe value depends only on `(base jury, candidate)` — never on the
-    /// interleaving. The round winner is then chosen by the **same**
-    /// pool-order tie-tolerance scan as the sequential loop over the
-    /// collected values, which is what makes the committed jury invariant
-    /// in the thread count. The stop rule and commit path are unchanged.
-    fn extend_to_parallel(&mut self, workers: &[Worker], budget: f64, lanes: usize) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let instance = self
-            .parallel_instance
-            .clone()
-            .expect("threaded extend_to requires a cloned instance");
-        let objective = self.objective;
-        let prior = self.prior;
-        let search_budget = self.budget;
-
-        loop {
-            // Fix the round's candidate set up front so every lane probes
-            // the same base jury.
-            let candidates: Vec<usize> = (0..workers.len())
-                .filter(|&i| !self.selected[i] && self.spent + workers[i].cost() <= budget + 1e-12)
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let base_members: Vec<Worker> = self.jury.workers().to_vec();
-            let cut = AtomicBool::new(false);
-
-            let lane_results: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        let candidates = &candidates;
-                        let base_members = &base_members;
-                        let instance = &instance;
-                        let cut = &cut;
-                        scope.spawn(move || {
-                            let mut results: Vec<(usize, f64)> = Vec::new();
-                            let mut session = objective.incremental_session(instance);
-                            if let Some(live) = &mut session {
-                                for member in base_members {
-                                    live.push(member);
-                                }
-                            }
-                            for (slot, &index) in candidates.iter().enumerate() {
-                                if slot % lanes != lane {
-                                    continue;
-                                }
-                                // Cooperative checkpoint between probes; a
-                                // cut observed by any lane stops them all.
-                                if cut.load(Ordering::Relaxed)
-                                    || search_budget.exhausted(objective.evaluations())
-                                {
-                                    cut.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                let worker = &workers[index];
-                                let mut session_broken = false;
-                                let mut value = match &mut session {
-                                    Some(live) => {
-                                        live.push(worker);
-                                        let value = live.value();
-                                        session_broken = !live.pop(worker);
-                                        value
-                                    }
-                                    None => objective.evaluate(
-                                        &Jury::new(base_members.clone())
-                                            .with_worker(worker.clone()),
-                                        prior,
-                                    ),
-                                };
-                                if session_broken {
-                                    session = None;
-                                    value = objective.evaluate(
-                                        &Jury::new(base_members.clone())
-                                            .with_worker(worker.clone()),
-                                        prior,
-                                    );
-                                }
-                                results.push((index, value));
-                            }
-                            results
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("probe lane panicked"))
-                    .collect()
-            });
-
-            if cut.load(Ordering::Relaxed) {
-                // Abandon the uncommitted round, exactly like the
-                // sequential checkpoint (anytime semantics).
-                self.truncated = true;
-                return;
-            }
-
-            let mut values: Vec<Option<f64>> = vec![None; workers.len()];
-            for (index, value) in lane_results.into_iter().flatten() {
-                values[index] = Some(value);
-            }
-            // The sequential scan, replayed over the collected values: the
-            // chained tie-tolerance comparison is order-sensitive, so the
-            // winner must be chosen in pool order, not per-lane.
-            let mut best: Option<(usize, f64)> = None;
-            for (index, value) in values.iter().enumerate() {
-                let Some(value) = *value else { continue };
                 if best.is_none_or(|(_, best_value)| value > best_value + PROBE_TIE_TOLERANCE) {
                     best = Some((index, value));
                 }
@@ -504,9 +318,7 @@ impl<O: JuryObjective> JurySolver for GreedyMarginalSolver<O> {
     fn solve(&self, instance: &JspInstance) -> SolverResult {
         let start = Instant::now();
         let evaluations_before = self.objective.evaluations();
-        let mut search = MarginalSearch::new(&self.objective, instance)
-            .with_budget(self.budget)
-            .with_parallelism(self.parallel, instance);
+        let mut search = MarginalSearch::new(&self.objective, instance).with_budget(self.budget);
         search.extend_to(instance.pool().workers(), instance.budget());
 
         // Session values are quantized guidance; report the batch

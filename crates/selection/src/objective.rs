@@ -23,6 +23,18 @@ use jury_model::{Jury, Prior, Worker, WorkerPool};
 
 use crate::problem::JspInstance;
 
+/// Session values within this tolerance are treated as tied. JQ plateaus
+/// are real — e.g. every second juror added to a strong first one leaves
+/// the two-juror BV quality at the stronger quality, and a worker on the
+/// zero bucket leaves the BV quality where it was — and on a plateau the
+/// probes return values separated only by floating-point noise (and the BV
+/// session's tail-sum probes round differently from the push/value/pop
+/// protocol of other sessions). Without a tolerance that noise, not the
+/// rule a search applies to a tie, would decide: which worker the marginal
+/// greedy commits (and whether its stop rule trips), and whether an
+/// annealing swap is accepted outright or draws from the random stream.
+pub(crate) const PROBE_TIE_TOLERANCE: f64 = 1e-9;
+
 /// A stateful, incremental evaluation session opened from a
 /// [`JuryObjective`].
 ///
@@ -32,6 +44,14 @@ use crate::problem::JspInstance;
 /// quantized (the BV engine works on a fixed bucket grid), so solvers score
 /// final candidates through [`JuryObjective::evaluate`] and use the session
 /// only to steer the search.
+///
+/// The probes score a neighbour of the tracked jury as one evaluation.
+/// Their default bodies make the push/value/pop calls a search would make
+/// by hand; a session whose engine can score a neighbour without mutating
+/// its state (the BV session) overrides them. A
+/// [`probe_swap`](Self::probe_swap) must be followed by exactly one
+/// [`commit_swap`](Self::commit_swap) or [`revert_swap`](Self::revert_swap)
+/// of the same pair before any other call.
 pub trait IncrementalSession {
     /// Adds one worker to the tracked jury.
     fn push(&mut self, worker: &Worker);
@@ -43,6 +63,36 @@ pub trait IncrementalSession {
 
     /// The objective value of the current jury state.
     fn value(&self) -> f64;
+
+    /// The value of the tracked jury plus `worker`, leaving the tracked
+    /// jury as it was. `None` means the session lost track of its jury and
+    /// should be abandoned, like a failed [`pop`](Self::pop).
+    fn probe_push(&mut self, worker: &Worker) -> Option<f64> {
+        self.push(worker);
+        let value = self.value();
+        self.pop(worker).then_some(value)
+    }
+
+    /// The value of the tracked jury with `out` replaced by `incoming`.
+    /// `None` (state untouched) when `out` is not a member.
+    fn probe_swap(&mut self, out: &Worker, incoming: &Worker) -> Option<f64> {
+        if !self.pop(out) {
+            return None;
+        }
+        self.push(incoming);
+        Some(self.value())
+    }
+
+    /// Makes the swap of the preceding [`probe_swap`](Self::probe_swap)
+    /// the tracked jury.
+    fn commit_swap(&mut self, _out: &Worker, _incoming: &Worker) {}
+
+    /// Drops the swap of the preceding [`probe_swap`](Self::probe_swap),
+    /// keeping the tracked jury as it was before the probe.
+    fn revert_swap(&mut self, out: &Worker, incoming: &Worker) {
+        self.pop(incoming);
+        self.push(out);
+    }
 }
 
 /// An objective function over juries.
@@ -152,6 +202,28 @@ impl IncrementalSession for BvSession<'_> {
             .expect("engine is present until drop")
             .jq()
     }
+
+    fn probe_push(&mut self, worker: &Worker) -> Option<f64> {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        Some(self.engine_mut().probe_push(worker.quality()))
+    }
+
+    fn probe_swap(&mut self, out: &Worker, incoming: &Worker) -> Option<f64> {
+        let value = self
+            .engine_mut()
+            .probe_swap(out.quality(), incoming.quality())
+            .ok()?;
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
+    fn commit_swap(&mut self, out: &Worker, incoming: &Worker) {
+        self.engine_mut()
+            .commit_swap(out.quality(), incoming.quality())
+            .expect("a probed swap's outgoing worker is a member");
+    }
+
+    fn revert_swap(&mut self, _out: &Worker, _incoming: &Worker) {}
 }
 
 impl Drop for BvSession<'_> {
@@ -501,6 +573,56 @@ mod tests {
         assert!(session.pop(&members[2]));
         assert!(!session.pop(&members[2]), "double pop must fail");
         assert!(obj.evaluations() >= 1, "session values must be counted");
+    }
+
+    #[test]
+    fn every_probe_is_one_evaluation_of_the_neighbour() {
+        let pool = jury_model::WorkerPool::from_qualities_and_costs(
+            &[
+                0.9, 0.63, 0.6, 0.7, 0.8, 0.65, 0.75, 0.55, 0.72, 0.68, 0.81, 0.59, 0.62, 0.77,
+                0.58, 0.66,
+            ],
+            &[1.0; 16],
+        )
+        .unwrap();
+        let instance = JspInstance::with_uniform_prior(pool.clone(), 4.0).unwrap();
+        let workers = pool.workers();
+        let (bv, mv) = (BvObjective::new(), MvObjective::new());
+        for objective in [&bv as &dyn JuryObjective, &mv] {
+            // `probing` answers through the probes, `mutating` through the
+            // push/value/pop calls they replace.
+            let mut probing = objective.incremental_session(&instance).unwrap();
+            let mut mutating = objective.incremental_session(&instance).unwrap();
+            for worker in &workers[..3] {
+                probing.push(worker);
+                mutating.push(worker);
+            }
+            for (out, incoming) in [(&workers[0], &workers[5]), (&workers[1], &workers[9])] {
+                mutating.push(incoming);
+                let pushed = mutating.value();
+                assert!(mutating.pop(incoming));
+                let before = objective.evaluations();
+                let probed = probing.probe_push(incoming).unwrap();
+                assert_eq!(objective.evaluations(), before + 1);
+                assert!((probed - pushed).abs() < 1e-12, "{probed} vs {pushed}");
+
+                assert!(mutating.pop(out));
+                mutating.push(incoming);
+                let swapped = mutating.value();
+                let base = probing.value();
+                let before = objective.evaluations();
+                let probed = probing.probe_swap(out, incoming).unwrap();
+                assert_eq!(objective.evaluations(), before + 1);
+                assert!((probed - swapped).abs() < 1e-12, "{probed} vs {swapped}");
+                probing.revert_swap(out, incoming);
+                assert!((probing.value() - base).abs() < 1e-12);
+                probing.probe_swap(out, incoming).unwrap();
+                probing.commit_swap(out, incoming);
+                assert!((probing.value() - swapped).abs() < 1e-12);
+                assert_eq!(objective.evaluations(), before + 4);
+            }
+            assert!(probing.probe_swap(&workers[15], &workers[14]).is_none());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The serving stack has been data-parallel across *requests* since the
 //! batch engine landed; this module makes a *single* large solve
-//! multi-core. Three solvers opt in through [`ParallelPolicy`]:
+//! multi-core. Two solvers opt in through [`ParallelPolicy`]:
 //!
 //! * [`crate::PortfolioSolver`] races each member on its own scoped OS
 //!   thread (per-lane [`jury_jq::JqScratch`] arena via [`ArenaObjective`],
@@ -12,11 +12,11 @@
 //! * [`crate::RestartSolver`] fans its restart units out across threads —
 //!   lane seeds are pure functions of the restart index, so the candidate
 //!   set is independent of thread interleaving and the fold replays the
-//!   sequential tie-break exactly;
-//! * [`crate::GreedyMarginalSolver`] evaluates the pool-many probes of each
-//!   forward-selection round across threads, merging the probe values
-//!   through the sequential pool-order scan so the round winner stays
-//!   deterministic.
+//!   sequential tie-break exactly.
+//!
+//! [`crate::GreedyMarginalSolver`] stays sequential: its probes cost `O(1)`
+//! each on the BV session, so a lane replaying the round's base jury into
+//! a session of its own would cost more than the whole sequential round.
 //!
 //! **Determinism contract.** [`ParallelPolicy::Sequential`] (the default)
 //! never spawns, never reads the new atomics, and runs the exact pre-policy
@@ -45,7 +45,7 @@ pub enum ParallelPolicy {
     #[default]
     Sequential,
     /// Spread the solve's independent units (portfolio lanes, restart
-    /// units, greedy probes) across this many scoped OS threads; `0` means
+    /// units) across this many scoped OS threads; `0` means
     /// one per available CPU core. `Threads(1)` runs the parallel
     /// orchestration on a single lane — same results, useful for tests.
     Threads(usize),

@@ -1,7 +1,8 @@
 //! Proves the scratch-arena claim of the kernel layer end to end: once an
 //! objective's arena is warm, the incremental-session hot path (push, pop,
-//! value) performs **zero** heap allocations, and reopening a session costs
-//! at most the session box itself.
+//! value, and the probe rounds: `probe_push`, `probe_swap` with its commit
+//! or revert) performs **zero** heap allocations, and reopening a session
+//! costs at most the session box itself.
 //!
 //! The counting allocator lives here — not in `jury-jq`, which is
 //! `#![forbid(unsafe_code)]` — and this file intentionally holds a single
@@ -49,8 +50,10 @@ fn allocations() -> u64 {
 }
 
 /// One full session lifecycle: open, push/pop the same worker sequence the
-/// warm-up used (so no buffer ever needs to grow), read the value, drop
-/// (which recycles the engine buffers into the objective's arena).
+/// warm-up used (so no buffer ever needs to grow), read the value, run a
+/// probe round (every outsider as an extension, one swap reverted and one
+/// committed and swapped back), drop (which recycles the engine buffers
+/// into the objective's arena).
 fn run_session_cycle(
     objective: &dyn JuryObjective,
     instance: &JspInstance,
@@ -64,6 +67,17 @@ fn run_session_cycle(
         session.push(worker);
     }
     let mut value = session.value();
+    for worker in &workers[8..] {
+        value += session.probe_push(worker).expect("session is intact");
+    }
+    value += session
+        .probe_swap(&workers[0], &workers[9])
+        .expect("a member");
+    session.revert_swap(&workers[0], &workers[9]);
+    for (out, incoming) in [(&workers[0], &workers[9]), (&workers[9], &workers[0])] {
+        value += session.probe_swap(out, incoming).expect("a member");
+        session.commit_swap(out, incoming);
+    }
     for worker in &workers[..8] {
         assert!(session.pop(worker));
     }

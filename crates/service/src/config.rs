@@ -127,10 +127,9 @@ pub struct ServiceConfig {
     /// other batch entry points; `0` means one per available CPU core.
     pub batch_threads: usize,
     /// OS threads a *single* solve may use: the portfolio races its
-    /// members on scoped threads and the greedy fallback parallelizes its
-    /// probe rounds. `1` (the default) is the sequential solver,
-    /// bit-identical to the pre-parallel service; `0` means one per
-    /// available CPU core. **Batch parallelism has priority**: a batch
+    /// members on scoped threads. `1` (the default) is the sequential
+    /// solver, bit-identical to the pre-parallel service; `0` means one
+    /// per available CPU core. **Batch parallelism has priority**: a batch
     /// already running more than one worker thread serves each slot's
     /// solver sequentially, so the two levels never oversubscribe the
     /// machine (`batch_threads × solver_threads` stays bounded by the

@@ -9,10 +9,10 @@ use std::time::{Duration, Instant};
 use jury_jq::MultiClassIncrementalConfig;
 use jury_model::{CategoricalPrior, MatrixPool, Prior, WorkerPool};
 use jury_selection::{
-    AnnealingSolver, BudgetQualityRow, BudgetQualityTable, ExhaustiveSolver, GreedyMarginalSolver,
-    GreedyQualitySolver, GreedyRatioSolver, JspInstance, JuryObjective, JurySolver, MultiClassJsp,
-    MvjsSolver, ParallelPolicy, PortfolioConfig, PortfolioSolver, SearchBudget, SolverResult,
-    MAX_EXHAUSTIVE_POOL,
+    AnnealingSolver, BudgetQualityRow, BudgetQualityTable, BvObjective, ExhaustiveSolver,
+    GreedyMarginalSolver, GreedyQualitySolver, GreedyRatioSolver, JspInstance, JuryObjective,
+    JurySolver, MultiClassJsp, MvjsSolver, ParallelPolicy, PortfolioConfig, PortfolioSolver,
+    SearchBudget, SolverResult, MAX_EXHAUSTIVE_POOL,
 };
 
 use crate::cache::{CacheStats, CachedMultiClassObjective, CachedObjective, JqCache};
@@ -379,7 +379,6 @@ impl JuryService {
                 }
                 let marginal = GreedyMarginalSolver::new(objective)
                     .with_budget(search_budget)
-                    .with_parallelism(config.solver_parallelism())
                     .solve(instance);
                 let truncated = marginal.truncated;
                 if marginal.objective_value > best.objective_value {
@@ -868,9 +867,12 @@ impl JuryService {
     /// * [`SweepPolicy::Cold`] — one full solve per budget through the
     ///   batch path.
     ///
-    /// Every warm row is re-scored through this service's cached batch
-    /// objective. Budgets below the cheapest worker yield empty-jury rows,
-    /// matching the table's exploratory semantics.
+    /// Every warm row is re-scored by the batch objective. Warm sweeps
+    /// score on a private objective that bypasses the shared JQ store: a
+    /// sweep's rows are one-shot juries of one pool that no later request
+    /// reads, so storing them would only grow the store with every sweep.
+    /// Budgets below the cheapest worker yield empty-jury rows, matching
+    /// the table's exploratory semantics.
     pub fn budget_quality_table(
         &self,
         pool: &WorkerPool,
@@ -914,8 +916,7 @@ impl JuryService {
         let beyond_exact = pool.len() > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
         if beyond_exact && self.config.sweep != SweepPolicy::Cold {
             Self::validate_sweep_budgets(budgets)?;
-            let objective =
-                CachedObjective::new(self.config.jq_engine(), Strategy::Bv, &self.cache);
+            let objective = BvObjective::with_engine(self.config.jq_engine());
             return Ok(match self.config.sweep {
                 SweepPolicy::WarmMarginal => BudgetQualityTable::build_warm_budgeted(
                     pool,
@@ -1370,6 +1371,7 @@ mod tests {
         let budgets = [2.0, 4.0, 6.0, 9.0];
 
         let warm_service = JuryService::new(ServiceConfig::fast());
+        let store_before = warm_service.cache_stats();
         let warm = warm_service
             .budget_quality_table(&pool, &budgets, Prior::uniform())
             .unwrap();
@@ -1395,8 +1397,9 @@ mod tests {
             );
             previous = w.quality;
         }
-        // The warm sweep still routes evaluations through the shared cache.
-        assert!(warm_service.cache_stats().misses > 0);
+        // Warm sweeps score on a private objective: the shared store is
+        // left exactly as it was.
+        assert_eq!(warm_service.cache_stats(), store_before);
     }
 
     #[test]
