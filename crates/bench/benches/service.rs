@@ -57,7 +57,7 @@ fn bench_batch_vs_sequential(c: &mut Criterion) {
         |b, requests| {
             b.iter(|| {
                 let service = JuryService::new(ServiceConfig::fast());
-                let results = service.select_batch(requests);
+                let results = service.select_batch(requests).results;
                 assert!(results.iter().all(|r| r.is_ok()));
                 results
             })

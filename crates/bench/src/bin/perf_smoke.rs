@@ -2,7 +2,7 @@
 //! hot paths, written as `BENCH_service.json` so the repo's performance
 //! trajectory accumulates one data point per CI run.
 //!
-//! Eight workload families — seven wall-clock timings plus one
+//! Seven workload families — six wall-clock timings plus one
 //! quality-per-evaluation race:
 //!
 //! * **annealing step** — one solver-shaped neighbour evaluation (swap a
@@ -30,18 +30,12 @@
 //! * **portfolio quality** — `SolverPolicy::Portfolio` vs plain annealing
 //!   on a large pool, both capped at the same evaluation budget; the
 //!   ratio compares JQ margin over the coin-flip floor, not time, and is
-//!   fully deterministic (evaluation caps never read the clock);
-//! * **parallel portfolio race** — the identical unbudgeted portfolio race
-//!   run sequentially and spread across `--threads` solver lanes
-//!   (`jury_selection::ParallelPolicy`). Both runs return the same jury by
-//!   the determinism contract; the ratio is pure wall-clock, so it pins
-//!   at ≈ 1.0 on single-core CI runners and only climbs where real cores
-//!   exist.
+//!   fully deterministic (evaluation caps never read the clock).
 //!
 //! # CLI flags
 //!
 //! ```text
-//! perf_smoke [--out <path.json>] [--iters <n>] [--threads <n>]
+//! perf_smoke [--out <path.json>] [--iters <n>]
 //!            [--check <baseline.json>] [--tolerance <f>]
 //! ```
 //!
@@ -52,9 +46,6 @@
 //! * `--iters <n>` — iterations per timed routine (default 15); the
 //!   reported timing is the median, so occasional scheduler hiccups do
 //!   not move the gated ratios.
-//! * `--threads <n>` — solver lanes of the parallel portfolio race
-//!   (default 2; `0` = one lane per available core). Recorded in the dump
-//!   as `threads`, so a baseline states the lane count it was pinned at.
 //! * `--check <baseline.json>` — compare this run's `speedups` against a
 //!   previously written dump (the repo checks in `BENCH_baseline.json`).
 //!   Exit code 0 = pass, 1 = at least one ratio regressed, 2 = the
@@ -93,9 +84,6 @@ use jury_jq::{
     BucketCount, BucketJqConfig, BucketJqEstimator, IncrementalJq, IncrementalJqConfig, KernelMode,
 };
 use jury_model::{GaussianWorkerGenerator, Jury, MatrixPool, Prior, Worker, WorkerPool};
-use jury_selection::{
-    BvObjective, JspInstance, JurySolver, ParallelPolicy, PortfolioConfig, PortfolioSolver,
-};
 use jury_service::{
     JuryService, MixedRequest, MixedResponse, MultiClassSelectionRequest, SelectionRequest,
     ServiceConfig, ServiceError, SolverPolicy, SweepPolicy,
@@ -278,12 +266,7 @@ fn capped_quality(pool: &WorkerPool, policy: SolverPolicy) -> f64 {
 ///   multi-threaded traffic on the single-lock JQ store vs the striped one.
 /// * `portfolio_vs_annealing_quality_per_eval` — JQ margin over 0.5 at a
 ///   fixed evaluation cap, portfolio policy vs plain annealing.
-/// * `parallel_portfolio_vs_sequential` — wall-clock of the identical
-///   unbudgeted portfolio race, sequential vs spread across `--threads`
-///   lanes. The baseline pins ≈ 1.0 (single-core CI sees no speedup and
-///   must see no slowdown past the tolerance either); multi-core hosts
-///   report > 1.
-const CHECKED_SPEEDUPS: [&str; 9] = [
+const CHECKED_SPEEDUPS: [&str; 8] = [
     "annealing_step_incremental_vs_scratch",
     "greedy_round_incremental_vs_scratch",
     "marginal_probe_vs_push_pop",
@@ -292,7 +275,6 @@ const CHECKED_SPEEDUPS: [&str; 9] = [
     "sweep_warm_annealing_vs_cold",
     "contention_sharded_vs_single_lock",
     "portfolio_vs_annealing_quality_per_eval",
-    "parallel_portfolio_vs_sequential",
 ];
 
 /// Compares the current dump's `speedups` against a baseline file; returns
@@ -335,7 +317,6 @@ fn check_against_baseline(
 fn main() {
     let mut out = String::from("BENCH_service.json");
     let mut iters = 15usize;
-    let mut threads = 2usize;
     let mut check: Option<String> = None;
     let mut tolerance = 0.5f64;
     let mut args = std::env::args().skip(1);
@@ -348,13 +329,6 @@ fn main() {
                     .expect("--iters needs a number")
                     .parse()
                     .expect("--iters needs a number")
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a number")
-                    .parse()
-                    .expect("--threads needs a number")
             }
             "--check" => check = Some(args.next().expect("--check needs a baseline path")),
             "--tolerance" => {
@@ -371,7 +345,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag {other}; usage: perf_smoke [--out <path>] [--iters <n>] \
-                     [--threads <n>] [--check <baseline.json>] [--tolerance <f>]"
+                     [--check <baseline.json>] [--tolerance <f>]"
                 );
                 std::process::exit(2);
             }
@@ -538,25 +512,6 @@ fn main() {
     let portfolio_quality = capped_quality(&portfolio_pool, SolverPolicy::Portfolio(Vec::new()));
     let annealing_quality = capped_quality(&portfolio_pool, SolverPolicy::Annealing);
 
-    // Parallel portfolio race: the identical unbudgeted race on the same
-    // pool, sequential vs spread across the solver lanes. Unbudgeted runs
-    // are pure replays at any lane count (the determinism contract of
-    // `jury_selection::parallel`), so numerator and denominator do the
-    // same search work and the ratio isolates the multi-core win.
-    let race_instance =
-        JspInstance::with_uniform_prior(portfolio_pool.clone(), PORTFOLIO_JURY_BUDGET)
-            .expect("valid race instance");
-    let race_iters = iters.div_ceil(3);
-    let timed_race = |parallel: ParallelPolicy| {
-        median_us(race_iters, || {
-            let solver = PortfolioSolver::new(BvObjective::new())
-                .with_config(PortfolioConfig::default().with_parallel(parallel));
-            std::hint::black_box(solver.solve(&race_instance));
-        })
-    };
-    let race_sequential = timed_race(ParallelPolicy::Sequential);
-    let race_parallel = timed_race(ParallelPolicy::Threads(threads));
-
     let dump = serde_json::json!({
         "schema": "jury-bench/perf-smoke/v1",
         "iters": iters,
@@ -581,11 +536,8 @@ fn main() {
             "contention_single_lock_p99": contention_single_p99,
             "contention_sharded_p50": contention_sharded_p50,
             "contention_sharded_p99": contention_sharded_p99,
-            "portfolio_race_sequential": race_sequential,
-            "portfolio_race_parallel": race_parallel,
         },
         "contention_threads": CONTENTION_THREADS,
-        "threads": threads,
         "portfolio_race": {
             "pool_size": PORTFOLIO_POOL_SIZE,
             "jury_budget": PORTFOLIO_JURY_BUDGET,
@@ -610,7 +562,6 @@ fn main() {
             // beats or ties annealing-only at equal evaluation spend.
             "portfolio_vs_annealing_quality_per_eval":
                 (portfolio_quality - 0.5) / (annealing_quality - 0.5).max(1e-12),
-            "parallel_portfolio_vs_sequential": race_sequential / race_parallel,
         },
     });
     let rendered = serde_json::to_string_pretty(&dump).expect("serializable");

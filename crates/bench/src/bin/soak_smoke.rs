@@ -114,11 +114,12 @@ fn main() {
     let deadline = started + Duration::from_secs(seconds);
     let mut rng = StdRng::seed_from_u64(seed);
     let service = JuryService::new(ServiceConfig::fast());
-    // Odd rotations select through a two-lane threaded solver under the
-    // portfolio policy: POOL (16) is past `fast()`'s exact cutoff, so the
-    // parallel race actually engages on the serving path, and the rest of
-    // the rotation (scans, repairs) must behave identically either way.
-    let threaded = JuryService::new(ServiceConfig::fast().with_solver_threads(2));
+    // Odd rotations select through a two-thread batch under the portfolio
+    // policy: POOL (16) is past `fast()`'s exact cutoff, so the race
+    // actually engages on the serving path, two slots are served
+    // concurrently, and the rest of the rotation (scans, repairs) must
+    // behave identically either way.
+    let concurrent = JuryService::new(ServiceConfig::fast().with_batch_threads(2));
     // A modest quality band (0.58–0.76): high enough that juries beat the
     // coin, low enough that one member collapsing to ~0.5 moves the JQ past
     // the drift threshold (at 0.9+ tiers, a lost member barely dents JQ).
@@ -150,9 +151,20 @@ fn main() {
             .with_prior(Prior::uniform())
             .with_deadline(REQUEST_DEADLINE);
         let selected = if counters.rotations % 2 == 1 {
-            threaded
-                .select(&request.with_policy(SolverPolicy::Portfolio(Vec::new())))
-                .expect("threaded portfolio selection on the streamed snapshot")
+            let raced = request.with_policy(SolverPolicy::Portfolio(Vec::new()));
+            let mut slots = concurrent
+                .select_batch(&[raced.clone(), raced])
+                .results
+                .into_iter()
+                .map(|slot| slot.expect("concurrent portfolio selection on the streamed snapshot"));
+            let first = slots.next().expect("two slots");
+            let second = slots.next().expect("two slots");
+            assert_eq!(
+                first.worker_ids(),
+                second.worker_ids(),
+                "concurrent slots of one request must agree"
+            );
+            first
         } else {
             service
                 .select(&request)

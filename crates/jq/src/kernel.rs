@@ -164,20 +164,6 @@ impl JqScratch {
         self.buffers.iter().map(Vec::capacity).sum()
     }
 
-    /// Moves every pooled buffer of `other` into this arena (up to the
-    /// pooling cap; overflow is dropped). This is the lane-retirement
-    /// handoff of the parallel solvers: a worker thread warms a private
-    /// arena for its hot loop, and when the lane finishes, its warm
-    /// capacity is absorbed into the parent arena instead of being freed.
-    pub fn absorb(&mut self, other: &mut JqScratch) {
-        for buffer in other.buffers.drain(..) {
-            self.recycle_buffer(buffer);
-        }
-        for members in other.members.drain(..) {
-            self.recycle_members(members);
-        }
-    }
-
     pub(crate) fn take_members(&mut self) -> Vec<Member> {
         self.members.pop().unwrap_or_default()
     }
@@ -225,19 +211,6 @@ impl SharedJqScratch {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Absorbs another shared arena's pooled buffers into this one (see
-    /// [`JqScratch::absorb`]). Used when a parallel lane retires and hands
-    /// its warm per-thread arena back to the parent objective's arena.
-    pub fn absorb(&self, other: &SharedJqScratch) {
-        if std::ptr::eq(self, other) {
-            return;
-        }
-        // Lock order is caller-fixed (parent absorbs lane); lanes are
-        // joined before absorption, so no lock cycle is reachable.
-        let mut target = self.lock();
-        target.absorb(&mut other.lock());
     }
 }
 

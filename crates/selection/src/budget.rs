@@ -20,12 +20,10 @@ use std::time::{Duration, Instant};
 ///
 /// The *shared* part of a budgeted race lives in the objective, not here:
 /// [`exhausted`](Self::exhausted) is checked against the caller-supplied
-/// evaluation count, and every solver passes its objective's atomic
-/// counter. That is what makes one budget govern a multi-threaded race —
-/// the parallel portfolio copies the same `SearchBudget` into every lane,
-/// and because all lanes drive one objective (one `AtomicU64` of
-/// evaluations), the cap bounds their *combined* work with no further
-/// synchronization.
+/// evaluation count, and every solver passes its objective's counter.
+/// That is what makes one budget govern a whole portfolio race — every
+/// member copies the same `SearchBudget` and drives one objective, so the
+/// cap bounds their *combined* work.
 ///
 /// ```
 /// use jury_selection::SearchBudget;

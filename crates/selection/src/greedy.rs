@@ -198,14 +198,6 @@ impl<'a, O: JuryObjective> MarginalSearch<'a, O> {
         self
     }
 
-    /// The session-guided value of the committed jury (quantized when a
-    /// session drives the search). Exposed so the restart fan-out can
-    /// compare a planting against the cross-lane bound without paying a
-    /// batch evaluation.
-    pub(crate) fn current_value(&self) -> f64 {
-        self.current_value
-    }
-
     /// Whether a budget checkpoint cut the last `extend_to` short.
     pub(crate) fn truncated(&self) -> bool {
         self.truncated

@@ -46,7 +46,6 @@ pub mod greedy;
 pub mod multiclass;
 pub mod mvjs;
 pub mod objective;
-pub mod parallel;
 pub mod portfolio;
 pub mod problem;
 pub mod repair;
@@ -69,7 +68,6 @@ pub use objective::{
     bv_incremental_session, bv_incremental_session_in, mv_incremental_session,
     mv_incremental_session_in, BvObjective, IncrementalSession, JuryObjective, MvObjective,
 };
-pub use parallel::{ArenaObjective, ParallelPolicy, SharedBestBound};
 pub use portfolio::{PortfolioConfig, PortfolioMember, PortfolioSolver};
 pub use problem::JspInstance;
 pub use repair::{repair_jury, RepairConfig, RepairResult};
@@ -219,69 +217,6 @@ mod proptests {
                 .solve(&instance);
             prop_assert_eq!(a.jury.ids(), b.jury.ids());
             prop_assert!((a.objective_value - b.objective_value).abs() < 1e-15);
-        }
-
-        /// Threaded solves are invariant in the thread count: at 1, 2, and
-        /// 8 lanes an unbudgeted parallel portfolio returns the exact jury
-        /// of the sequential race (so its JQ equals some member's
-        /// standalone sequential result to 1e-9 and never drops below the
-        /// greedy floor), and the parallel restart fan-out returns exactly
-        /// its sequential jury.
-        #[test]
-        fn parallel_solves_are_thread_count_invariant(
-            pool in pool_strategy(),
-            budget in 0.2f64..3.0,
-        ) {
-            let instance = JspInstance::with_uniform_prior(pool, budget).unwrap();
-            let sequential_race = PortfolioSolver::new(BvObjective::new()).solve(&instance);
-            let sequential_restart = RestartSolver::new(BvObjective::new()).solve(&instance);
-            let member_values: Vec<f64> = PortfolioMember::default_lineup()
-                .into_iter()
-                .map(|member| match member {
-                    PortfolioMember::Tabu =>
-                        TabuSolver::new(BvObjective::new()).solve(&instance),
-                    PortfolioMember::Restart =>
-                        RestartSolver::new(BvObjective::new()).solve(&instance),
-                    PortfolioMember::Annealing =>
-                        AnnealingSolver::new(BvObjective::new()).solve(&instance),
-                }.objective_value)
-                .collect();
-            let floor = GreedyQualitySolver::new(BvObjective::new())
-                .solve(&instance)
-                .objective_value
-                .max(
-                    GreedyRatioSolver::new(BvObjective::new())
-                        .solve(&instance)
-                        .objective_value,
-                );
-
-            for threads in [1usize, 2, 8] {
-                let policy = ParallelPolicy::Threads(threads);
-                let raced = PortfolioSolver::new(BvObjective::new())
-                    .with_config(PortfolioConfig::default().with_parallel(policy))
-                    .solve(&instance);
-                prop_assert_eq!(raced.jury.ids(), sequential_race.jury.ids(),
-                    "threads {} changed the raced jury", threads);
-                prop_assert!(
-                    member_values
-                        .iter()
-                        .any(|&v| (raced.objective_value - v).abs() < 1e-9),
-                    "threads {}: raced JQ {} matches no member's sequential JQ",
-                    threads, raced.objective_value);
-                prop_assert!(raced.objective_value >= floor - 1e-9,
-                    "threads {}: raced JQ {} below greedy floor {}",
-                    threads, raced.objective_value, floor);
-
-                let restarted = RestartSolver::with_config(
-                    BvObjective::new(),
-                    RestartConfig::default().with_parallel(policy),
-                )
-                .solve(&instance);
-                prop_assert_eq!(restarted.jury.ids(), sequential_restart.jury.ids());
-                prop_assert!(
-                    (restarted.objective_value - sequential_restart.objective_value).abs()
-                        < 1e-15);
-            }
         }
 
         /// When a special case applies, its closed-form jury matches the

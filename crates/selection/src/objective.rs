@@ -121,11 +121,9 @@ pub trait JuryObjective: Send + Sync {
 
     /// Like [`incremental_session`](Self::incremental_session), but draws
     /// the engine's buffers from a caller-owned arena instead of the
-    /// objective's shared one — the hook the parallel solvers use to give
-    /// each lane its own warm `JqScratch` (no lock contention between
-    /// lanes' hot loops). The default ignores the arena and opens a plain
-    /// session, which is correct for objectives without arena-backed
-    /// engines.
+    /// objective's shared one. No solver calls it; it stays as an override
+    /// point for wrapping objectives (the `perfbench` tracer forwards it).
+    /// The default ignores the arena and opens a plain session.
     fn incremental_session_in<'a>(
         &'a self,
         instance: &JspInstance,
@@ -157,14 +155,6 @@ impl<O: JuryObjective + ?Sized> JuryObjective for &O {
         instance: &JspInstance,
     ) -> Option<Box<dyn IncrementalSession + 'a>> {
         (**self).incremental_session(instance)
-    }
-
-    fn incremental_session_in<'a>(
-        &'a self,
-        instance: &JspInstance,
-        arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        (**self).incremental_session_in(instance, arena)
     }
 }
 
@@ -412,23 +402,6 @@ impl JuryObjective for BvObjective {
             &self.scratch,
         ))
     }
-
-    fn incremental_session_in<'a>(
-        &'a self,
-        instance: &JspInstance,
-        arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        if instance.num_candidates() <= self.engine.exact_cutoff() {
-            return None;
-        }
-        Some(bv_incremental_session_in(
-            instance.pool(),
-            instance.prior(),
-            *self.engine.bucket_estimator().config(),
-            &self.evaluations,
-            arena,
-        ))
-    }
 }
 
 /// The MVJS objective: `JQ(J, MV, α)` via the exact Poisson-binomial dynamic
@@ -471,18 +444,6 @@ impl JuryObjective for MvObjective {
             instance.prior(),
             &self.evaluations,
             &self.scratch,
-        ))
-    }
-
-    fn incremental_session_in<'a>(
-        &'a self,
-        instance: &JspInstance,
-        arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        Some(mv_incremental_session_in(
-            instance.prior(),
-            &self.evaluations,
-            arena,
         ))
     }
 }

@@ -26,18 +26,15 @@
 //! (`"portfolio:tabu"`, `"portfolio:random-restart"`,
 //! `"portfolio:simulated-annealing"`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use jury_jq::SharedJqScratch;
 use jury_model::Jury;
 
 use crate::annealing::{greedy_candidate_juries, AnnealingConfig, AnnealingSolver};
 use crate::budget::SearchBudget;
 use crate::objective::JuryObjective;
-use crate::parallel::{ArenaObjective, ParallelPolicy, SharedBestBound};
 use crate::problem::JspInstance;
 use crate::restart::{RestartConfig, RestartSolver};
 use crate::solver::{JurySolver, SolverResult};
@@ -103,13 +100,6 @@ pub struct PortfolioConfig {
     pub tabu: TabuConfig,
     /// Configuration of the [`PortfolioMember::Restart`] member.
     pub restart: RestartConfig,
-    /// How the race is spread across OS threads:
-    /// [`ParallelPolicy::Sequential`] (the default) runs the pre-parallel
-    /// round-robin race bit-identically on the calling thread;
-    /// [`ParallelPolicy::Threads`] gives each member its own scoped thread
-    /// with a private scratch arena, all lanes sharing one evaluation
-    /// counter and one best-so-far bound.
-    pub parallel: ParallelPolicy,
 }
 
 impl PortfolioConfig {
@@ -130,13 +120,6 @@ impl PortfolioConfig {
         self.restart = config;
         self
     }
-
-    /// Sets the thread policy of the race (see
-    /// [`PortfolioConfig::parallel`]).
-    pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
-        self
-    }
 }
 
 /// A member's lane in the race: its best jury so far and how many restart
@@ -154,11 +137,6 @@ pub struct PortfolioSolver<O: JuryObjective> {
     members: Vec<PortfolioMember>,
     config: PortfolioConfig,
     budget: SearchBudget,
-    /// Parent scratch arena of the threaded race: warm buffers are dealt
-    /// out to the lanes at spawn and absorbed back at retirement, so
-    /// repeated parallel solves reuse capacity across calls. Untouched in
-    /// sequential mode.
-    arena: SharedJqScratch,
 }
 
 impl<O: JuryObjective> PortfolioSolver<O> {
@@ -169,7 +147,6 @@ impl<O: JuryObjective> PortfolioSolver<O> {
             members: PortfolioMember::default_lineup(),
             config: PortfolioConfig::default(),
             budget: SearchBudget::unlimited(),
-            arena: SharedJqScratch::new(),
         }
     }
 
@@ -187,7 +164,6 @@ impl<O: JuryObjective> PortfolioSolver<O> {
             members,
             config: PortfolioConfig::default(),
             budget: SearchBudget::unlimited(),
-            arena: SharedJqScratch::new(),
         }
     }
 
@@ -239,19 +215,6 @@ impl<O: JuryObjective> JurySolver for PortfolioSolver<O> {
     }
 
     fn solve(&self, instance: &JspInstance) -> SolverResult {
-        if self.config.parallel.is_threaded() {
-            let lanes = self.config.parallel.lanes(self.members.len());
-            return self.solve_parallel(instance, lanes);
-        }
-        self.solve_sequential(instance)
-    }
-}
-
-impl<O: JuryObjective> PortfolioSolver<O> {
-    /// The pre-parallel round-robin race, verbatim: the
-    /// [`ParallelPolicy::Sequential`] path, bit-identical to the solver
-    /// before the threaded mode existed (no new clock or atomic reads).
-    fn solve_sequential(&self, instance: &JspInstance) -> SolverResult {
         let start = Instant::now();
         let evaluations_before = self.objective.evaluations();
 
@@ -346,167 +309,6 @@ impl<O: JuryObjective> PortfolioSolver<O> {
             elapsed: start.elapsed(),
             solver: winner.1.member.provenance(),
             truncated,
-        }
-    }
-
-    /// The threaded race: members are dealt round-robin onto `lanes`
-    /// scoped OS threads; every lane races its members at the same
-    /// restart-unit granularity as the sequential round-robin, drives the
-    /// **shared** objective (one evaluation counter, one memo store)
-    /// through a private [`ArenaObjective`] scratch arena, and — under a
-    /// limited budget only — steers against the cross-lane
-    /// [`SharedBestBound`]. Unbudgeted, every lane is a pure replay of its
-    /// members' standalone sequential runs, so the fold below returns the
-    /// same winner at any thread count.
-    fn solve_parallel(&self, instance: &JspInstance, lanes: usize) -> SolverResult {
-        let start = Instant::now();
-        let evaluations_before = self.objective.evaluations();
-
-        let bound = SharedBestBound::new();
-        // The bound may only *steer* when the race can be cut short anyway:
-        // a budgeted race is anytime by contract, an unbudgeted one must
-        // replay its members exactly.
-        let steer = !self.budget.is_unlimited();
-
-        // Deal the parent arena's warm buffers out to per-lane arenas; the
-        // lanes' hot loops then never contend on a shared scratch lock.
-        let lane_arenas: Vec<SharedJqScratch> =
-            (0..lanes).map(|_| SharedJqScratch::new()).collect();
-        {
-            let mut parent = self.arena.lock();
-            let held = parent.buffers_held();
-            for i in 0..held {
-                let buffer = parent.take_buffer();
-                lane_arenas[i % lanes].lock().recycle_buffer(buffer);
-            }
-        }
-
-        let truncated = AtomicBool::new(false);
-        let mut lane_states: Vec<(usize, Lane)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..lanes)
-                .map(|t| {
-                    let arena = &lane_arenas[t];
-                    let bound = &bound;
-                    let truncated = &truncated;
-                    scope.spawn(move || {
-                        let lane_objective = ArenaObjective::new(&self.objective, arena);
-                        let annealing =
-                            AnnealingSolver::with_config(&lane_objective, self.config.annealing)
-                                .with_budget(self.budget);
-                        let tabu = TabuSolver::with_config(&lane_objective, self.config.tabu)
-                            .with_budget(self.budget);
-                        let restart =
-                            RestartSolver::with_config(&lane_objective, self.config.restart)
-                                .with_budget(self.budget);
-                        let shared = if steer { Some(bound) } else { None };
-
-                        let mut states: Vec<(usize, Lane)> = self
-                            .members
-                            .iter()
-                            .enumerate()
-                            .filter(|(index, _)| index % lanes == t)
-                            .map(|(index, &member)| {
-                                (
-                                    index,
-                                    Lane {
-                                        member,
-                                        units: self.units_of(member),
-                                        best_jury: Jury::empty(),
-                                        best_value: lane_objective
-                                            .evaluate(&Jury::empty(), instance.prior()),
-                                    },
-                                )
-                            })
-                            .collect();
-
-                        let rounds = states.iter().map(|(_, lane)| lane.units).max().unwrap_or(0);
-                        'race: for unit in 0..rounds {
-                            for (_, lane) in states.iter_mut() {
-                                if unit >= lane.units {
-                                    continue;
-                                }
-                                if self.budget.exhausted(lane_objective.evaluations()) {
-                                    truncated.store(true, Ordering::Relaxed);
-                                    break 'race;
-                                }
-                                let (jury, value, cut) = match lane.member {
-                                    PortfolioMember::Tabu => {
-                                        tabu.run_once_shared(instance, unit, shared)
-                                    }
-                                    PortfolioMember::Restart => {
-                                        restart.run_once_shared(instance, unit, shared)
-                                    }
-                                    PortfolioMember::Annealing => annealing.anneal_once(
-                                        instance,
-                                        self.config.annealing.seed.wrapping_add(unit as u64),
-                                        &Jury::empty(),
-                                    ),
-                                };
-                                if cut {
-                                    truncated.store(true, Ordering::Relaxed);
-                                }
-                                if value > lane.best_value {
-                                    lane.best_value = value;
-                                    lane.best_jury = jury;
-                                    if steer {
-                                        bound.observe(value);
-                                    }
-                                }
-                            }
-                        }
-                        states
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("portfolio lane panicked"))
-                .collect()
-        });
-
-        // Lane retirement: absorb the warm per-lane arenas back into the
-        // parent so the next parallel solve starts warm.
-        for arena in &lane_arenas {
-            self.arena.absorb(arena);
-        }
-
-        // Greedy candidate folds, on the calling thread, exactly as the
-        // sequential race finishes its lanes.
-        for (_, lane) in lane_states.iter_mut() {
-            if !self.member_uses_greedy(lane.member) {
-                continue;
-            }
-            for jury in greedy_candidate_juries(instance) {
-                let value = self.objective.evaluate(&jury, instance.prior());
-                if value > lane.best_value {
-                    lane.best_value = value;
-                    lane.best_jury = jury;
-                }
-            }
-        }
-
-        // Restore race order, then fold with the sequential tie-break:
-        // strictly better value wins, ties keep the earlier member.
-        lane_states.sort_by_key(|(index, _)| *index);
-        let winner = lane_states
-            .iter()
-            .map(|(_, lane)| lane)
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| {
-                a.best_value
-                    .partial_cmp(&b.best_value)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| ib.cmp(ia))
-            })
-            .expect("a portfolio always has at least one member");
-
-        SolverResult {
-            jury: winner.1.best_jury.clone(),
-            objective_value: winner.1.best_value,
-            evaluations: self.objective.evaluations() - evaluations_before,
-            elapsed: start.elapsed(),
-            solver: winner.1.member.provenance(),
-            truncated: truncated.load(Ordering::Relaxed),
         }
     }
 }

@@ -25,16 +25,8 @@ use crate::annealing::greedy_candidate_juries;
 use crate::budget::SearchBudget;
 use crate::greedy::MarginalSearch;
 use crate::objective::JuryObjective;
-use crate::parallel::{ParallelPolicy, SharedBestBound};
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
-
-/// Slack for the cross-lane restart acceptance cut: a planting whose
-/// session-guided value trails the published best by more than this is
-/// returned without the final batch re-score. The slack absorbs the BV
-/// session's bucket-grid quantization (~1e-2 on the shipped grids), so a
-/// cut restart provably could not have won the fold.
-const RESTART_ACCEPTANCE_SLACK: f64 = 0.05;
 
 /// Configuration of the randomized-restart search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +43,6 @@ pub struct RestartConfig {
     /// Whether the greedy top-quality and quality-per-cost fills also
     /// compete as candidate solutions.
     pub use_greedy_candidates: bool,
-    /// How the restart units are spread across threads. Each restart's
-    /// planting is a pure function of `(seed, restart index)` — the lane a
-    /// restart lands on never changes its RNG stream — and the fold
-    /// replays the sequential restart order, so the solved jury is
-    /// identical at every thread count.
-    pub parallel: ParallelPolicy,
 }
 
 impl Default for RestartConfig {
@@ -66,7 +52,6 @@ impl Default for RestartConfig {
             seed: 0xD1CE,
             max_seed_fraction: 0.5,
             use_greedy_candidates: true,
-            parallel: ParallelPolicy::Sequential,
         }
     }
 }
@@ -93,12 +78,6 @@ impl RestartConfig {
     /// Enables or disables the greedy candidate juries.
     pub fn with_greedy_candidates(mut self, enabled: bool) -> Self {
         self.use_greedy_candidates = enabled;
-        self
-    }
-
-    /// Sets the restart fan-out policy (see [`RestartConfig::parallel`]).
-    pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
         self
     }
 }
@@ -153,23 +132,6 @@ impl<O: JuryObjective> RestartSolver<O> {
     /// time with exactly the per-restart behaviour of a standalone
     /// [`RestartSolver::solve`] call.
     pub(crate) fn run_once(&self, instance: &JspInstance, restart: usize) -> (Jury, f64, bool) {
-        self.run_once_shared(instance, restart, None)
-    }
-
-    /// [`run_once`](Self::run_once) with an optional cross-lane best bound.
-    ///
-    /// When a bound is supplied (only by the threaded portfolio under a
-    /// limited budget), a finished restart whose session-guided value
-    /// trails the published best by more than [`RESTART_ACCEPTANCE_SLACK`]
-    /// skips its final batch re-score — it provably cannot win the fold —
-    /// and a restart that *is* re-scored publishes its value back. With
-    /// `bound = None` the run is bit-identical to the pre-parallel solver.
-    pub(crate) fn run_once_shared(
-        &self,
-        instance: &JspInstance,
-        restart: usize,
-        bound: Option<&SharedBestBound>,
-    ) -> (Jury, f64, bool) {
         let workers = instance.pool().workers();
         let mut search = MarginalSearch::new(&self.objective, instance).with_budget(self.budget);
         if restart > 0 {
@@ -196,27 +158,10 @@ impl<O: JuryObjective> RestartSolver<O> {
         }
         search.extend_to(workers, instance.budget());
         let jury = search.jury().clone();
-        if let Some(shared) = bound {
-            let guided = search.current_value();
-            if guided + RESTART_ACCEPTANCE_SLACK < shared.current() {
-                // Acceptance cut: even granting the full quantization slack,
-                // this planting loses to a value some lane already scored by
-                // batch — returning the (strictly lower) guided value keeps
-                // the fold's winner unchanged while saving the re-score.
-                return (jury, guided, search.truncated());
-            }
-            let value = self.objective.evaluate(&jury, instance.prior());
-            shared.observe(value);
-            return (jury, value, search.truncated());
-        }
         let value = self.objective.evaluate(&jury, instance.prior());
         (jury, value, search.truncated())
     }
 }
-
-/// One restart's outcome: the planted-and-searched jury, its value, and
-/// whether the budget cut the unit short.
-type RestartUnit = (Jury, f64, bool);
 
 impl<O: JuryObjective> JurySolver for RestartSolver<O> {
     fn name(&self) -> &'static str {
@@ -231,62 +176,16 @@ impl<O: JuryObjective> JurySolver for RestartSolver<O> {
         let mut best_value = self.objective.evaluate(&best_jury, instance.prior());
         let mut truncated = false;
 
-        let restarts = self.config.restarts.max(1);
-        let lanes = self.config.parallel.lanes(restarts);
-        if lanes > 1 {
-            // Fan-out: lane `t` runs restarts `t, t + lanes, …`. Each
-            // restart's planting depends only on `(seed, restart index)`,
-            // so the set of candidate juries is the sequential one; the
-            // fold below replays the sequential restart order (strict
-            // improvement), so the winner is too.
-            use std::sync::atomic::{AtomicBool, Ordering};
-            let cut_flag = AtomicBool::new(false);
-            let lane_results: Vec<Vec<(usize, RestartUnit)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        let cut_flag = &cut_flag;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for restart in (lane..restarts).step_by(lanes) {
-                                if self.budget.exhausted(self.objective.evaluations()) {
-                                    cut_flag.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                out.push((restart, self.run_once(instance, restart)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("restart lane panicked"))
-                    .collect()
-            });
-            truncated |= cut_flag.load(Ordering::Relaxed);
-            let mut ordered: Vec<Option<RestartUnit>> = vec![None; restarts];
-            for (restart, result) in lane_results.into_iter().flatten() {
-                ordered[restart] = Some(result);
+        for restart in 0..self.config.restarts.max(1) {
+            if self.budget.exhausted(self.objective.evaluations()) {
+                truncated = true;
+                break;
             }
-            for (jury, value, cut) in ordered.into_iter().flatten() {
-                truncated |= cut;
-                if value > best_value {
-                    best_value = value;
-                    best_jury = jury;
-                }
-            }
-        } else {
-            for restart in 0..restarts {
-                if self.budget.exhausted(self.objective.evaluations()) {
-                    truncated = true;
-                    break;
-                }
-                let (jury, value, cut) = self.run_once(instance, restart);
-                truncated |= cut;
-                if value > best_value {
-                    best_value = value;
-                    best_jury = jury;
-                }
+            let (jury, value, cut) = self.run_once(instance, restart);
+            truncated |= cut;
+            if value > best_value {
+                best_value = value;
+                best_jury = jury;
             }
         }
 

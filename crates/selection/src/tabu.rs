@@ -28,7 +28,6 @@ use jury_model::{Jury, Worker};
 use crate::annealing::{greedy_candidate_juries, SearchState};
 use crate::budget::SearchBudget;
 use crate::objective::{IncrementalSession, JuryObjective};
-use crate::parallel::SharedBestBound;
 use crate::problem::JspInstance;
 use crate::solver::{JurySolver, SolverResult};
 
@@ -190,23 +189,6 @@ impl<O: JuryObjective> TabuSolver<O> {
     /// time with exactly the per-restart behaviour of a standalone
     /// [`TabuSolver::solve`] call.
     pub(crate) fn run_once(&self, instance: &JspInstance, restart: usize) -> (Jury, f64, bool) {
-        self.run_once_shared(instance, restart, None)
-    }
-
-    /// [`run_once`](Self::run_once) with an optional cross-lane best bound.
-    ///
-    /// When a bound is supplied (only by the threaded portfolio under a
-    /// limited budget), the aspiration floor is raised to the best value
-    /// published by **any** lane — a tabu move must beat the global race
-    /// leader, not just this run, to override its tenure — and the run's
-    /// final batch score is published back. With `bound = None` the run is
-    /// bit-identical to the pre-parallel solver (no atomic reads).
-    pub(crate) fn run_once_shared(
-        &self,
-        instance: &JspInstance,
-        restart: usize,
-        bound: Option<&SharedBestBound>,
-    ) -> (Jury, f64, bool) {
         let n = instance.num_candidates();
         let workers = instance.pool().workers();
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(restart as u64));
@@ -252,16 +234,8 @@ impl<O: JuryObjective> TabuSolver<O> {
                 Some(selected[rng.gen_range(0..selected.len())])
             };
 
-            // With a cross-lane bound, aspiration must clear the whole
-            // race's best, not just this run's (one relaxed read per
-            // iteration; `None` in sequential mode keeps replay exact).
-            let aspiration_floor = match bound {
-                Some(shared) => best_value.max(shared.current()),
-                None => best_value,
-            };
-
             let mut best_move: Option<(Move, f64)> = None;
-            let mut consider = |mv: Move, value: f64, is_tabu: bool, best_value: f64| {
+            let mut consider = |mv: Move, value: f64, is_tabu: bool| {
                 // Aspiration: a tabu move good enough to set a new global
                 // best is always admissible.
                 if is_tabu && value <= best_value + 1e-12 {
@@ -297,12 +271,7 @@ impl<O: JuryObjective> TabuSolver<O> {
                         .objective
                         .evaluate(&state.jury().with_worker(worker.clone()), instance.prior()),
                 };
-                consider(
-                    Move::Add(in_index),
-                    value,
-                    tabu_until[in_index] > iter,
-                    aspiration_floor,
-                );
+                consider(Move::Add(in_index), value, tabu_until[in_index] > iter);
             }
 
             // Swaps: every affordable replacement for the outgoing member.
@@ -359,7 +328,6 @@ impl<O: JuryObjective> TabuSolver<O> {
                         Move::Swap(out_index, in_index),
                         value,
                         tabu_until[out_index] > iter || tabu_until[in_index] > iter,
-                        aspiration_floor,
                     );
                 }
                 if out_popped {
@@ -403,9 +371,6 @@ impl<O: JuryObjective> TabuSolver<O> {
         // Session values are quantized search guidance; report the batch
         // objective's score of the run's best jury.
         let value = self.objective.evaluate(&best_jury, instance.prior());
-        if let Some(shared) = bound {
-            shared.observe(value);
-        }
         (best_jury, value, truncated)
     }
 }

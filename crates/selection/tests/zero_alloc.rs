@@ -11,9 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use jury_jq::SharedJqScratch;
 use jury_model::WorkerPool;
-use jury_selection::{ArenaObjective, BvObjective, JspInstance, JuryObjective, MvObjective};
+use jury_selection::{BvObjective, JspInstance, JuryObjective, MvObjective};
 
 /// Forwards to the system allocator, counting every allocation entry point
 /// (`alloc`, `alloc_zeroed`, `realloc`); frees are not counted.
@@ -126,48 +125,4 @@ fn warm_incremental_sessions_do_not_allocate() {
              (expected at most the session box)"
         );
     }
-
-    // Parallel phase — the portfolio's lane setup. Each lane wraps the one
-    // shared BV objective in an [`ArenaObjective`] over its **own** arena,
-    // pays its warm-up once, and then a steady-state cycle running in every
-    // lane *concurrently* costs at most the session box per lane: no lane
-    // ever locks another lane's arena or the inner objective's shared
-    // scratch from the hot loop.
-    const LANES: usize = 4;
-    let arenas: Vec<SharedJqScratch> = (0..LANES).map(|_| SharedJqScratch::new()).collect();
-    let warmed = std::sync::Barrier::new(LANES + 1);
-    let measured = std::sync::Barrier::new(LANES + 1);
-    let mut spent_parallel = 0;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = arenas
-            .iter()
-            .map(|arena| {
-                let (bv, instance, pool) = (&bv, &instance, &pool);
-                let (warmed, measured) = (&warmed, &measured);
-                scope.spawn(move || {
-                    let lane = ArenaObjective::new(bv, arena);
-                    let warm = run_session_cycle(&lane, instance, pool);
-                    warmed.wait();
-                    measured.wait();
-                    let hot = run_session_cycle(&lane, instance, pool);
-                    assert_eq!(
-                        warm, hot,
-                        "a lane's warm and hot cycles must compute identical values"
-                    );
-                })
-            })
-            .collect();
-        warmed.wait();
-        let before = allocations();
-        measured.wait();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        spent_parallel = allocations() - before;
-    });
-    assert!(
-        spent_parallel <= LANES as u64,
-        "steady-state cycles across {LANES} lanes performed {spent_parallel} \
-         allocations (expected at most one session box per lane)"
-    );
 }

@@ -400,36 +400,6 @@ impl JuryObjective for CachedObjective<'_> {
             )),
         }
     }
-
-    fn incremental_session_in<'a>(
-        &'a self,
-        instance: &JspInstance,
-        arena: &'a SharedJqScratch,
-    ) -> Option<Box<dyn IncrementalSession + 'a>> {
-        // Same gating as `incremental_session`, but the engine buffers come
-        // from the caller's arena — this is what lets each portfolio lane
-        // reopen sessions without contending on this objective's shared
-        // scratch (`jury_selection::ArenaObjective`).
-        match self.strategy {
-            Strategy::Bv => {
-                if instance.num_candidates() <= self.engine.exact_cutoff() {
-                    return None;
-                }
-                Some(bv_incremental_session_in(
-                    instance.pool(),
-                    instance.prior(),
-                    *self.engine.bucket_estimator().config(),
-                    &self.requests,
-                    arena,
-                ))
-            }
-            Strategy::Mv => Some(mv_incremental_session_in(
-                instance.prior(),
-                &self.requests,
-                arena,
-            )),
-        }
-    }
 }
 
 /// The cache-backed multi-class objective: wraps

@@ -12,8 +12,7 @@ use jury_jq::{
     BucketCount, BucketJqConfig, JqEngine, MultiClassBucketConfig, MultiClassIncrementalConfig,
 };
 use jury_selection::{
-    AnnealingConfig, ParallelPolicy, RestartConfig, TabuConfig,
-    DEFAULT_MULTICLASS_SESSION_POOL_CUTOFF,
+    AnnealingConfig, RestartConfig, TabuConfig, DEFAULT_MULTICLASS_SESSION_POOL_CUTOFF,
 };
 
 /// How [`crate::JuryService::budget_quality_table`] (and its multi-class
@@ -125,16 +124,9 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// Worker threads used by [`crate::JuryService::select_batch`] and the
     /// other batch entry points; `0` means one per available CPU core.
+    /// Never more threads than the batch has requests. This is the
+    /// service's only thread knob: every single solve runs on one thread.
     pub batch_threads: usize,
-    /// OS threads a *single* solve may use: the portfolio races its
-    /// members on scoped threads. `1` (the default) is the sequential
-    /// solver, bit-identical to the pre-parallel service; `0` means one
-    /// per available CPU core. **Batch parallelism has priority**: a batch
-    /// already running more than one worker thread serves each slot's
-    /// solver sequentially, so the two levels never oversubscribe the
-    /// machine (`batch_threads × solver_threads` stays bounded by the
-    /// larger of the two knobs).
-    pub solver_threads: usize,
     /// Maximum requests the batch entry points serve concurrently before
     /// the [`OverloadPolicy`] kicks in; `0` disables admission control
     /// entirely (every request is served at full fidelity).
@@ -173,7 +165,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1 << 20,
             cache_shards: 8,
             batch_threads: 0,
-            solver_threads: 1,
             max_in_flight: 0,
             overload: OverloadPolicy::Shed,
             sweep: SweepPolicy::WarmMarginal,
@@ -272,35 +263,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the per-solve thread count (see
-    /// [`solver_threads`](Self::solver_threads); `1` = sequential,
-    /// `0` = one per CPU core).
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver_threads = threads;
-        self
-    }
-
-    /// Routes **both** levels of parallelism through one knob: batch slots
-    /// and single-solve lanes each get `threads` workers (`0` = one per
-    /// CPU core). The batch > solver priority still applies — when a batch
-    /// actually fans out, its slots solve sequentially — so this sets "how
-    /// many cores may this service use" regardless of which level the work
-    /// arrives at.
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.batch_threads = threads;
-        self.solver_threads = threads;
-        self
-    }
-
-    /// The [`jury_selection::ParallelPolicy`] induced by
-    /// [`solver_threads`](Self::solver_threads).
-    pub fn solver_parallelism(&self) -> ParallelPolicy {
-        match self.solver_threads {
-            1 => ParallelPolicy::Sequential,
-            n => ParallelPolicy::Threads(n),
-        }
-    }
-
     /// Sets the concurrent-request admission limit for the batch entry
     /// points (`0` disables admission control).
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
@@ -362,11 +324,6 @@ mod tests {
         assert!(config.cache_capacity > 0);
         assert_eq!(config.cache_shards, 8);
         assert_eq!(config.batch_threads, 0);
-        assert_eq!(
-            config.solver_threads, 1,
-            "single solves default to the sequential (bit-identical) path"
-        );
-        assert_eq!(config.solver_parallelism(), ParallelPolicy::Sequential);
         assert_eq!(config.max_in_flight, 0, "admission control defaults off");
         assert_eq!(config.overload, OverloadPolicy::Shed);
         assert_eq!(config.sweep, SweepPolicy::WarmMarginal);
@@ -390,7 +347,6 @@ mod tests {
             .with_cache_capacity(128)
             .with_cache_shards(2)
             .with_batch_threads(2)
-            .with_solver_threads(3)
             .with_max_in_flight(4)
             .with_overload_policy(OverloadPolicy::Coarsen)
             .with_sweep_policy(SweepPolicy::Cold)
@@ -413,8 +369,6 @@ mod tests {
         assert_eq!(config.cache_capacity, 128);
         assert_eq!(config.cache_shards, 2);
         assert_eq!(config.batch_threads, 2);
-        assert_eq!(config.solver_threads, 3);
-        assert_eq!(config.solver_parallelism(), ParallelPolicy::Threads(3));
         assert_eq!(config.max_in_flight, 4);
         assert_eq!(config.overload, OverloadPolicy::Coarsen);
         assert_eq!(config.sweep, SweepPolicy::Cold);
@@ -422,19 +376,6 @@ mod tests {
         assert_eq!(config.multiclass_bucket.num_buckets, 77);
         assert_eq!(config.multiclass_incremental.max_cells, 1 << 10);
         assert_eq!(config.multiclass_session_cutoff, 9);
-    }
-
-    #[test]
-    fn worker_threads_set_both_levels() {
-        let config = ServiceConfig::default().with_worker_threads(4);
-        assert_eq!(config.batch_threads, 4);
-        assert_eq!(config.solver_threads, 4);
-        assert_eq!(config.solver_parallelism(), ParallelPolicy::Threads(4));
-
-        let per_core = ServiceConfig::default().with_worker_threads(0);
-        assert_eq!(per_core.batch_threads, 0);
-        assert_eq!(per_core.solver_threads, 0);
-        assert_eq!(per_core.solver_parallelism(), ParallelPolicy::Threads(0));
     }
 
     #[test]

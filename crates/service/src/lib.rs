@@ -21,9 +21,11 @@
 //!   with `IncrementalMultiClassJq` sessions past the measured crossover);
 //! * [`JuryService::select`] — returns `Result<SelectionResponse,
 //!   ServiceError>`; **nothing on the request path panics**;
-//! * [`JuryService::select_batch`] / [`JuryService::select_mixed_batch`] —
-//!   data-parallel batch execution across worker threads, with per-request
-//!   error reporting and one shared **sharded** JQ evaluation cache: the
+//! * [`JuryService::select_batch`] — data-parallel batch execution of
+//!   binary, multi-class, or mixed requests ([`ServeRequest`]) across
+//!   worker threads, through the same request core as the single calls,
+//!   with per-request error reporting and one shared **sharded** JQ
+//!   evaluation cache: the
 //!   store is striped into [`ServiceConfig::cache_shards`] independently
 //!   locked segments routed by quantized jury signature hash
 //!   ([`jury_jq::signature`]) — binary entries under
@@ -41,7 +43,7 @@
 //!   [`OverloadPolicy::Shed`] rejects with [`ServiceError::Overloaded`]
 //!   while [`OverloadPolicy::Coarsen`] downgrades the solver policy to
 //!   greedy, with per-batch gate counters and per-shard store snapshots in
-//!   [`BatchMetrics`] (see [`JuryService::select_batch_with_metrics`]);
+//!   [`BatchMetrics`] (returned with every [`JuryService::select_batch`]);
 //! * [`JuryService::budget_quality_table`] and
 //!   [`JuryService::multiclass_budget_quality_table`] — the Figure 1
 //!   budget–quality sweep, routed by [`SweepPolicy`]: cold per-budget
@@ -81,7 +83,7 @@
 //!
 //! // Batches run in parallel and share the JQ cache.
 //! let batch = vec![request.clone(), bad, request];
-//! let results = service.select_batch(&batch);
+//! let results = service.select_batch(&batch).results;
 //! assert!(results[0].is_ok() && results[1].is_err() && results[2].is_ok());
 //! ```
 
@@ -91,6 +93,7 @@
 pub mod cache;
 pub mod config;
 pub mod error;
+mod parallel;
 pub mod repair;
 pub mod request;
 pub mod response;
@@ -107,4 +110,109 @@ pub use response::{
     BatchMetrics, BatchOutcome, MixedResponse, MultiClassSelectionResponse, RepairOutcome,
     RepairResponse, SelectionResponse,
 };
-pub use service::JuryService;
+pub use service::{JuryService, ServeRequest};
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use jury_model::{MatrixPool, WorkerId, WorkerPool};
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
+
+    fn pool_strategy() -> impl Strategy<Value = WorkerPool> {
+        proptest::collection::vec(((0.5f64..0.95), (0.05f64..1.0)), 1..9).prop_map(|pairs| {
+            let (qualities, costs): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            WorkerPool::from_qualities_and_costs(&qualities, &costs).unwrap()
+        })
+    }
+
+    fn matrix_pool_strategy() -> impl Strategy<Value = MatrixPool> {
+        proptest::collection::vec(((0.4f64..0.95), (0.05f64..1.0)), 1..7).prop_map(|pairs| {
+            let (qualities, costs): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            MatrixPool::from_qualities_and_costs(&qualities, &costs, 3).unwrap()
+        })
+    }
+
+    /// What a served slot answered, bit for bit: its kind, jury, quality,
+    /// evaluation count and solver.
+    fn answer(response: &MixedResponse) -> (bool, Vec<WorkerId>, u64, u64, &'static str) {
+        match response {
+            MixedResponse::Binary(r) => (
+                false,
+                r.worker_ids(),
+                r.quality.to_bits(),
+                r.evaluations,
+                r.solver,
+            ),
+            MixedResponse::MultiClass(r) => (
+                true,
+                r.worker_ids(),
+                r.quality.to_bits(),
+                r.evaluations,
+                r.solver,
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Batch threads are the service's only thread level: at 1, 2 and
+        /// 4 of them, every slot of a mixed batch — binary `Auto`,
+        /// `Annealing` and unbudgeted `Portfolio` requests next to
+        /// multi-class ones — serves bit for bit the jury, quality,
+        /// evaluation count and solver that single sequential calls on the
+        /// same service served. The comparison runs against the same
+        /// (warmed) store: two cold stores may memoize a jury's JQ from
+        /// different evaluation orders, which differ in the last bits.
+        #[test]
+        fn parallel_solves_are_thread_count_invariant(
+            pool in pool_strategy(),
+            matrix_pool in matrix_pool_strategy(),
+            budget in 0.2f64..3.0,
+        ) {
+            let mut batch: Vec<MixedRequest> = [
+                SolverPolicy::Auto,
+                SolverPolicy::Annealing,
+                SolverPolicy::Portfolio(Vec::new()),
+            ]
+            .into_iter()
+            .map(|policy| SelectionRequest::new(pool.clone(), budget).with_policy(policy).into())
+            .collect();
+            for policy in [SolverPolicy::Auto, SolverPolicy::Annealing] {
+                batch.push(
+                    MultiClassSelectionRequest::new(matrix_pool.clone(), budget)
+                        .with_policy(policy)
+                        .into(),
+                );
+            }
+
+            for threads in [1usize, 2, 4] {
+                let service =
+                    JuryService::new(ServiceConfig::default().with_batch_threads(threads));
+                let want: Vec<Result<MixedResponse, ServiceError>> = batch
+                    .iter()
+                    .map(|request| match request {
+                        MixedRequest::Binary(request) =>
+                            service.select(request).map(MixedResponse::Binary),
+                        MixedRequest::MultiClass(request) =>
+                            service.select_multiclass(request).map(MixedResponse::MultiClass),
+                    })
+                    .collect();
+                let got = service.select_batch(&batch).results;
+                prop_assert_eq!(got.len(), want.len());
+                for (slot, (got, want)) in got.iter().zip(&want).enumerate() {
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => prop_assert_eq!(answer(got), answer(want),
+                            "threads {} slot {}: {:?} vs {:?}",
+                            threads, slot, answer(got), answer(want)),
+                        (Err(got), Err(want)) => prop_assert_eq!(
+                            std::mem::discriminant(got), std::mem::discriminant(want),
+                            "threads {} slot {}: {:?} vs {:?}", threads, slot, got, want),
+                        (got, want) => prop_assert!(false,
+                            "threads {} slot {}: {:?} vs {:?}", threads, slot, got, want),
+                    }
+                }
+            }
+        }
+    }
+}

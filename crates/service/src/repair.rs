@@ -254,7 +254,7 @@ impl JuryService {
             let resolved = self.dispatch_solver(
                 &instance,
                 &objective,
-                SolverPolicy::Auto,
+                &SolverPolicy::Auto,
                 false,
                 self.config(),
                 search_budget,

@@ -107,6 +107,31 @@ impl Deserialize for SolverPolicy {
     }
 }
 
+/// The fields both request kinds share: everything the service's one
+/// request core validates and resolves without knowing the pool's kind.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RequestCommon {
+    pub(crate) budget: f64,
+    pub(crate) policy: SolverPolicy,
+    pub(crate) allow_empty: bool,
+    pub(crate) config: Option<ServiceConfig>,
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) max_evaluations: Option<u64>,
+}
+
+impl RequestCommon {
+    fn new(budget: f64) -> Self {
+        RequestCommon {
+            budget,
+            policy: SolverPolicy::Auto,
+            allow_empty: false,
+            config: None,
+            deadline: None,
+            max_evaluations: None,
+        }
+    }
+}
+
 /// One jury-selection request: pool, budget, prior, strategy, solver policy,
 /// and optional per-request configuration overrides.
 ///
@@ -128,14 +153,9 @@ impl Deserialize for SolverPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionRequest {
     pool: WorkerPool,
-    budget: f64,
     prior_alpha: f64,
     strategy: Strategy,
-    policy: SolverPolicy,
-    allow_empty: bool,
-    config: Option<ServiceConfig>,
-    deadline: Option<Duration>,
-    max_evaluations: Option<u64>,
+    pub(crate) common: RequestCommon,
 }
 
 impl SelectionRequest {
@@ -144,14 +164,9 @@ impl SelectionRequest {
     pub fn new(pool: WorkerPool, budget: f64) -> Self {
         SelectionRequest {
             pool,
-            budget,
             prior_alpha: 0.5,
             strategy: Strategy::Bv,
-            policy: SolverPolicy::Auto,
-            allow_empty: false,
-            config: None,
-            deadline: None,
-            max_evaluations: None,
+            common: RequestCommon::new(budget),
         }
     }
 
@@ -178,13 +193,13 @@ impl SelectionRequest {
 
     /// Sets the solver policy.
     pub fn with_policy(mut self, policy: SolverPolicy) -> Self {
-        self.policy = policy;
+        self.common.policy = policy;
         self
     }
 
     /// Overrides the service configuration for this request only.
     pub fn with_config(mut self, config: ServiceConfig) -> Self {
-        self.config = Some(config);
+        self.common.config = Some(config);
         self
     }
 
@@ -193,7 +208,7 @@ impl SelectionRequest {
     /// [`crate::ServiceError::BudgetBelowCheapestWorker`]. Off by default;
     /// the paper-reproduction facades turn it on to keep the seed semantics.
     pub fn allow_empty_selection(mut self, allow: bool) -> Self {
-        self.allow_empty = allow;
+        self.common.allow_empty = allow;
         self
     }
 
@@ -204,7 +219,7 @@ impl SelectionRequest {
     /// jury found so far (anytime semantics). Without a deadline the search
     /// runs bit-identically to a deadline-free service.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.common.deadline = Some(deadline);
         self
     }
 
@@ -213,7 +228,7 @@ impl SelectionRequest {
     /// exceeding the cap reports the same
     /// [`crate::ServiceError::DeadlineExceeded`] without any clock reads.
     pub fn with_evaluation_limit(mut self, max_evaluations: u64) -> Self {
-        self.max_evaluations = Some(max_evaluations);
+        self.common.max_evaluations = Some(max_evaluations);
         self
     }
 
@@ -224,7 +239,7 @@ impl SelectionRequest {
 
     /// The budget.
     pub fn budget(&self) -> f64 {
-        self.budget
+        self.common.budget
     }
 
     /// The raw prior `α` (possibly not yet validated).
@@ -239,27 +254,27 @@ impl SelectionRequest {
 
     /// The solver policy.
     pub fn policy(&self) -> SolverPolicy {
-        self.policy.clone()
+        self.common.policy.clone()
     }
 
     /// The per-request configuration override, if any.
     pub fn config(&self) -> Option<&ServiceConfig> {
-        self.config.as_ref()
+        self.common.config.as_ref()
     }
 
     /// Whether empty selections are allowed.
     pub fn empty_selection_allowed(&self) -> bool {
-        self.allow_empty
+        self.common.allow_empty
     }
 
     /// The per-request wall-clock deadline, if any.
     pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
+        self.common.deadline
     }
 
     /// The per-request objective-evaluation cap, if any.
     pub fn max_evaluations(&self) -> Option<u64> {
-        self.max_evaluations
+        self.common.max_evaluations
     }
 }
 
@@ -295,13 +310,8 @@ impl SelectionRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiClassSelectionRequest {
     pool: MatrixPool,
-    budget: f64,
     prior_probs: Option<Vec<f64>>,
-    policy: SolverPolicy,
-    allow_empty: bool,
-    config: Option<ServiceConfig>,
-    deadline: Option<Duration>,
-    max_evaluations: Option<u64>,
+    pub(crate) common: RequestCommon,
 }
 
 impl MultiClassSelectionRequest {
@@ -311,13 +321,8 @@ impl MultiClassSelectionRequest {
     pub fn new(pool: MatrixPool, budget: f64) -> Self {
         MultiClassSelectionRequest {
             pool,
-            budget,
             prior_probs: None,
-            policy: SolverPolicy::Auto,
-            allow_empty: false,
-            config: None,
-            deadline: None,
-            max_evaluations: None,
+            common: RequestCommon::new(budget),
         }
     }
 
@@ -339,13 +344,13 @@ impl MultiClassSelectionRequest {
 
     /// Sets the solver policy.
     pub fn with_policy(mut self, policy: SolverPolicy) -> Self {
-        self.policy = policy;
+        self.common.policy = policy;
         self
     }
 
     /// Overrides the service configuration for this request only.
     pub fn with_config(mut self, config: ServiceConfig) -> Self {
-        self.config = Some(config);
+        self.common.config = Some(config);
         self
     }
 
@@ -353,7 +358,7 @@ impl MultiClassSelectionRequest {
     /// response (quality = the prior's argmax mass) instead of
     /// [`crate::ServiceError::BudgetBelowCheapestWorker`]. Off by default.
     pub fn allow_empty_selection(mut self, allow: bool) -> Self {
-        self.allow_empty = allow;
+        self.common.allow_empty = allow;
         self
     }
 
@@ -361,14 +366,14 @@ impl MultiClassSelectionRequest {
     /// start — same anytime semantics as
     /// [`SelectionRequest::with_deadline`].
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.common.deadline = Some(deadline);
         self
     }
 
     /// Caps the objective evaluations the search may spend — same
     /// semantics as [`SelectionRequest::with_evaluation_limit`].
     pub fn with_evaluation_limit(mut self, max_evaluations: u64) -> Self {
-        self.max_evaluations = Some(max_evaluations);
+        self.common.max_evaluations = Some(max_evaluations);
         self
     }
 
@@ -379,7 +384,7 @@ impl MultiClassSelectionRequest {
 
     /// The budget.
     pub fn budget(&self) -> f64 {
-        self.budget
+        self.common.budget
     }
 
     /// The raw prior probabilities (possibly not yet validated), or `None`
@@ -390,34 +395,34 @@ impl MultiClassSelectionRequest {
 
     /// The solver policy.
     pub fn policy(&self) -> SolverPolicy {
-        self.policy.clone()
+        self.common.policy.clone()
     }
 
     /// The per-request configuration override, if any.
     pub fn config(&self) -> Option<&ServiceConfig> {
-        self.config.as_ref()
+        self.common.config.as_ref()
     }
 
     /// Whether empty selections are allowed.
     pub fn empty_selection_allowed(&self) -> bool {
-        self.allow_empty
+        self.common.allow_empty
     }
 
     /// The per-request wall-clock deadline, if any.
     pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
+        self.common.deadline
     }
 
     /// The per-request objective-evaluation cap, if any.
     pub fn max_evaluations(&self) -> Option<u64> {
-        self.max_evaluations
+        self.common.max_evaluations
     }
 }
 
 /// A request of either kind, for mixed batches served by
-/// [`crate::JuryService::select_mixed_batch`]: binary-accuracy and
-/// confusion-matrix selections travel through the same thread-parallel
-/// machinery and share the one JQ-evaluation cache.
+/// [`crate::JuryService::select_batch`]: binary-accuracy and
+/// confusion-matrix selections travel through the same request core and
+/// batch engine and share the one JQ-evaluation cache.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MixedRequest {
     /// A binary-accuracy selection request.

@@ -126,7 +126,7 @@ impl MixedResponse {
 
 /// Serving-side counters for one batch call — what the admission gate and
 /// the sharded store saw while the batch ran (see
-/// [`crate::JuryService::select_batch_with_metrics`]).
+/// [`crate::JuryService::select_batch`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchMetrics {
     /// Requests served at full fidelity (under the admission limit, or with
@@ -147,9 +147,9 @@ pub struct BatchMetrics {
     pub shards: Vec<CacheStats>,
 }
 
-/// A batch's per-request results plus its [`BatchMetrics`] — what the
-/// `*_with_metrics` batch entry points return. Result order matches the
-/// request order, exactly like the plain batch methods.
+/// A batch's per-request results plus its [`BatchMetrics`] — what
+/// [`crate::JuryService::select_batch`] returns. Result order matches the
+/// request order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome<R> {
     /// Per-request outcomes, in request order.

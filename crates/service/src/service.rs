@@ -1,9 +1,15 @@
 //! The service itself: validated, fallible, batch-first jury selection.
+//!
+//! Binary, multi-class and mixed requests are served by one request core
+//! (`JuryService::serve`). Config resolution, validation, the search
+//! budget, solver dispatch, truncation and overload coarsening are written
+//! once there; what differs between the two kinds — the prior, the search
+//! instance and objective, and the response — sits behind the private
+//! `RequestKind` trait.
 
+use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use jury_jq::MultiClassIncrementalConfig;
@@ -11,15 +17,17 @@ use jury_model::{CategoricalPrior, MatrixPool, Prior, WorkerPool};
 use jury_selection::{
     AnnealingSolver, BudgetQualityRow, BudgetQualityTable, BvObjective, ExhaustiveSolver,
     GreedyMarginalSolver, GreedyQualitySolver, GreedyRatioSolver, JspInstance, JuryObjective,
-    JurySolver, MultiClassJsp, MvjsSolver, ParallelPolicy, PortfolioConfig, PortfolioSolver,
-    SearchBudget, SolverResult, MAX_EXHAUSTIVE_POOL,
+    JurySolver, MvjsSolver, PortfolioConfig, PortfolioSolver, SearchBudget, SolverResult,
+    MAX_EXHAUSTIVE_POOL,
 };
 
 use crate::cache::{CacheStats, CachedMultiClassObjective, CachedObjective, JqCache};
 use crate::config::{OverloadPolicy, ServiceConfig, SweepPolicy};
 use crate::error::ServiceError;
+use crate::parallel;
 use crate::request::{
-    MixedRequest, MultiClassSelectionRequest, SelectionRequest, SolverPolicy, Strategy,
+    MixedRequest, MultiClassSelectionRequest, RequestCommon, SelectionRequest, SolverPolicy,
+    Strategy,
 };
 use crate::response::{
     BatchMetrics, BatchOutcome, MixedResponse, MultiClassSelectionResponse, SelectionResponse,
@@ -173,77 +181,66 @@ impl JuryService {
     /// # Ok::<(), ServiceError>(())
     /// ```
     pub fn select(&self, request: &SelectionRequest) -> Result<SelectionResponse, ServiceError> {
-        self.select_inner(request, false)
+        self.serve(request, false)
     }
 
-    /// [`Self::select`] with the batch-over-solver thread priority applied:
-    /// when the surrounding batch has already fanned its slots out across
-    /// worker threads (`sequential_solver`), this request's solve runs its
-    /// lanes sequentially instead of oversubscribing the same cores.
-    fn select_inner(
+    /// The one request core behind every selection entry point, for both
+    /// request kinds. `coarsen` downgrades the solver policy to
+    /// [`SolverPolicy::Greedy`] (the admission gate's
+    /// [`OverloadPolicy::Coarsen`]) without touching the request.
+    ///
+    /// Checks run in a fixed order, the same for both kinds: the prior, an
+    /// empty pool, the budget, then the cheapest worker.
+    fn serve<R: RequestKind>(
         &self,
-        request: &SelectionRequest,
-        sequential_solver: bool,
-    ) -> Result<SelectionResponse, ServiceError> {
+        request: &R,
+        coarsen: bool,
+    ) -> Result<R::Response, ServiceError> {
         let started = Instant::now();
-        let mut config = request.config().copied().unwrap_or(self.config);
-        if sequential_solver {
-            config.solver_threads = 1;
-        }
+        let common = request.common();
+        let config = common.config.unwrap_or(self.config);
 
-        let prior = Prior::new(request.prior_alpha()).map_err(|_| ServiceError::InvalidPrior {
-            value: request.prior_alpha(),
-        })?;
+        let prior = request.prior()?;
         // An empty pool — like an unaffordable one — only admits the empty
         // jury, so it is an error exactly when empty selections are not
         // allowed (the paper facades allow them to keep the seed semantics,
         // e.g. dataset replays over tasks nobody answered).
-        if request.pool().is_empty() && !request.empty_selection_allowed() {
+        let cheapest = request.cheapest_cost();
+        if cheapest.is_none() && !common.allow_empty {
             return Err(ServiceError::EmptyPool);
         }
-        let budget = request.budget();
-        if !budget.is_finite()
-            || budget < 0.0
-            || (budget == 0.0 && !request.empty_selection_allowed())
-        {
+        let budget = common.budget;
+        if !budget.is_finite() || budget < 0.0 || (budget == 0.0 && !common.allow_empty) {
             return Err(ServiceError::InvalidBudget { value: budget });
         }
-        let cheapest = request
-            .pool()
-            .iter()
-            .map(|w| w.cost())
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         if let Some(cheapest) = cheapest {
-            if cheapest > budget && !request.empty_selection_allowed() {
+            if cheapest > budget && !common.allow_empty {
                 return Err(ServiceError::BudgetBelowCheapestWorker { budget, cheapest });
             }
         }
 
-        let instance = JspInstance::new(request.pool().clone(), budget, prior)?;
-        let objective = CachedObjective::new(config.jq_engine(), request.strategy(), &self.cache);
-        let search_budget = Self::effective_budget(
-            started,
-            request.deadline(),
-            request.max_evaluations(),
+        let policy = if coarsen {
+            SolverPolicy::Greedy
+        } else {
+            common.policy.clone()
+        };
+        let (instance, objective) = request.build(prior, &policy, &config, &self.cache)?;
+        let search_budget =
+            Self::effective_budget(started, common.deadline, common.max_evaluations, &config);
+        let result = self.dispatch_solver(
+            &instance,
+            &objective,
+            &policy,
+            request.mv_baseline(),
             &config,
-        );
-        let result = self.run_solver(&instance, &objective, request, &config, search_budget)?;
+            search_budget,
+        )?;
 
         let truncated = result.truncated;
-        let response = SelectionResponse {
-            quality: result.objective_value,
-            cost: result.jury.cost(),
-            jury: result.jury,
-            strategy: request.strategy(),
-            policy: request.policy(),
-            solver: result.solver,
-            evaluations: objective.evaluations(),
-            cache_hits: objective.local_hits(),
-            elapsed: started.elapsed(),
-        };
+        let response = request.respond(&objective, result, policy, started);
         if truncated {
             return Err(ServiceError::DeadlineExceeded {
-                best_so_far: Some(Box::new(MixedResponse::Binary(response))),
+                best_so_far: Some(Box::new(R::into_mixed(response))),
             });
         }
         Ok(response)
@@ -290,30 +287,8 @@ impl JuryService {
         ))
     }
 
-    fn run_solver(
-        &self,
-        instance: &JspInstance,
-        objective: &CachedObjective<'_>,
-        request: &SelectionRequest,
-        config: &ServiceConfig,
-        search_budget: SearchBudget,
-    ) -> Result<SolverResult, ServiceError> {
-        // The MV baseline keeps its odd-size top-quality candidates on
-        // large `Auto` pools, exactly like the historical Mvjs system.
-        let mv_baseline = request.strategy() == Strategy::Mv;
-        self.dispatch_solver(
-            instance,
-            objective,
-            request.policy(),
-            mv_baseline,
-            config,
-            search_budget,
-        )
-    }
-
-    /// The one [`SolverPolicy`] dispatch behind both the binary and the
-    /// multi-class request paths, generic over the (cache-backed)
-    /// objective. `mv_baseline` routes large `Auto` pools through the
+    /// The one [`SolverPolicy`] dispatch behind the request core and the
+    /// repair fallback, generic over the (cache-backed) objective. `mv_baseline` routes large `Auto` pools through the
     /// [`MvjsSolver`] instead of plain annealing — the binary MV strategy's
     /// historical behaviour; multi-class selection never sets it.
     ///
@@ -327,7 +302,7 @@ impl JuryService {
         &self,
         instance: &JspInstance,
         objective: &O,
-        policy: SolverPolicy,
+        policy: &SolverPolicy,
         mv_baseline: bool,
         config: &ServiceConfig,
         search_budget: SearchBudget,
@@ -357,9 +332,8 @@ impl JuryService {
                 let portfolio = PortfolioConfig::default()
                     .with_annealing(config.annealing)
                     .with_tabu(config.tabu)
-                    .with_restart(config.restart)
-                    .with_parallel(config.solver_parallelism());
-                PortfolioSolver::with_members(objective, members)
+                    .with_restart(config.restart);
+                PortfolioSolver::with_members(objective, members.clone())
                     .with_config(portfolio)
                     .with_budget(search_budget)
                     .solve(instance)
@@ -442,95 +416,7 @@ impl JuryService {
         &self,
         request: &MultiClassSelectionRequest,
     ) -> Result<MultiClassSelectionResponse, ServiceError> {
-        self.select_multiclass_inner(request, false)
-    }
-
-    /// [`Self::select_multiclass`] with the batch-over-solver thread
-    /// priority applied — same contract as [`Self::select_inner`].
-    fn select_multiclass_inner(
-        &self,
-        request: &MultiClassSelectionRequest,
-        sequential_solver: bool,
-    ) -> Result<MultiClassSelectionResponse, ServiceError> {
-        let started = Instant::now();
-        let mut config = request.config().copied().unwrap_or(self.config);
-        if sequential_solver {
-            config.solver_threads = 1;
-        }
-        let pool = request.pool();
-
-        let prior = match request.prior_probs() {
-            Some(probs) => CategoricalPrior::new(probs.to_vec())?,
-            None => CategoricalPrior::uniform(pool.num_choices())?,
-        };
-        // A prior whose label count disagrees with the pool's is rejected
-        // by `MultiClassJsp::new` below and surfaces as
-        // `ServiceError::InvalidPriorVector` through the `ModelError`
-        // conversion — no duplicate arity check here.
-        let budget = request.budget();
-        if !budget.is_finite()
-            || budget < 0.0
-            || (budget == 0.0 && !request.empty_selection_allowed())
-        {
-            return Err(ServiceError::InvalidBudget { value: budget });
-        }
-        let cheapest = pool
-            .iter()
-            .map(|w| w.cost())
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        if let Some(cheapest) = cheapest {
-            if cheapest > budget && !request.empty_selection_allowed() {
-                return Err(ServiceError::BudgetBelowCheapestWorker { budget, cheapest });
-            }
-        }
-        let problem = MultiClassJsp::new(pool.clone(), budget, prior.clone())?;
-        let objective = CachedMultiClassObjective::new(pool, &prior, &config, &self.cache)?;
-        if request.policy() != SolverPolicy::Exact {
-            Self::check_multiclass_capacity(&objective, pool, &config)?;
-        }
-        // Same policy dispatch as the binary path (never the MV baseline —
-        // multi-class selection always optimizes Bayesian voting), running
-        // the solvers over the shadow instance while the cached objective
-        // scores the full matrices.
-        let search_budget = Self::effective_budget(
-            started,
-            request.deadline(),
-            request.max_evaluations(),
-            &config,
-        );
-        let result = self.dispatch_solver(
-            problem.instance(),
-            &objective,
-            request.policy(),
-            false,
-            &config,
-            search_budget,
-        )?;
-
-        // The objective's own resolution (borrowed members, foreign ids
-        // dropped) is the single source of truth for what was scored.
-        let members = objective
-            .members(&result.jury)
-            .into_iter()
-            .cloned()
-            .collect();
-        let truncated = result.truncated;
-        let response = MultiClassSelectionResponse {
-            quality: result.objective_value,
-            cost: result.jury.cost(),
-            members,
-            policy: request.policy(),
-            solver: result.solver,
-            evaluations: objective.evaluations(),
-            cache_hits: objective.local_hits(),
-            elapsed: started.elapsed(),
-        };
-        if truncated {
-            return Err(ServiceError::DeadlineExceeded {
-                best_so_far: Some(Box::new(MixedResponse::MultiClass(response))),
-            });
-        }
-        Ok(response)
+        self.serve(request, false)
     }
 
     /// Whether a multi-class pool of this size can be served at all under
@@ -561,11 +447,10 @@ impl JuryService {
         Ok(())
     }
 
-    /// The shared thread-parallel batch engine behind [`Self::select_batch`]
-    /// and its multi-class and mixed siblings: dynamic scheduling, where
-    /// workers pull the next unclaimed item from a shared counter, so a few
-    /// expensive requests cannot serialize the batch behind one thread the
-    /// way static chunking would.
+    /// The shared batch engine behind [`Self::select_batch`] and
+    /// [`Self::repair_batch`]: the items fan out over
+    /// [`ServiceConfig::batch_threads`] lanes with dynamic scheduling (see
+    /// the private `parallel` module).
     ///
     /// Every serve call runs under `catch_unwind`: a panicking solver fills
     /// its own slot with [`ServiceError::Internal`] instead of unwinding
@@ -584,46 +469,7 @@ impl JuryService {
                 })
             })
         };
-        let threads = self.batch_threads(items.len());
-        if threads <= 1 {
-            return items.iter().map(caught).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel();
-        thread::scope(|scope| {
-            for _ in 0..threads {
-                let sender = sender.clone();
-                let next = &next;
-                let caught = &caught;
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    if sender.send((index, caught(item))).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(sender);
-
-        let mut slots: Vec<Option<Result<R, ServiceError>>> =
-            (0..items.len()).map(|_| None).collect();
-        for (index, result) in receiver {
-            slots[index] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(ServiceError::Internal {
-                        reason: "a batch slot was never filled".to_string(),
-                    })
-                })
-            })
-            .collect()
+        parallel::map_in_lanes(self.batch_threads(items.len()), items, caught)
     }
 
     /// One request's trip through the admission gate of the batch entry
@@ -633,16 +479,15 @@ impl JuryService {
     /// request arriving over capacity is either rejected immediately
     /// ([`OverloadPolicy::Shed`]) or served in coarsened mode
     /// ([`OverloadPolicy::Coarsen`] — the closure's flag).
-    fn serve_gated<T, R>(
+    fn serve_gated<R>(
         &self,
-        item: &T,
         counters: &AdmissionCounters,
-        serve: impl Fn(&T, bool) -> Result<R, ServiceError>,
+        serve: impl FnOnce(bool) -> Result<R, ServiceError>,
     ) -> Result<R, ServiceError> {
         let max_in_flight = self.config.max_in_flight;
         if max_in_flight == 0 {
             counters.admitted.fetch_add(1, Ordering::Relaxed);
-            return serve(item, false);
+            return serve(false);
         }
         let occupied = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let _slot = InFlightGuard(&self.in_flight);
@@ -651,7 +496,7 @@ impl JuryService {
             .fetch_max(occupied, Ordering::Relaxed);
         if occupied <= max_in_flight {
             counters.admitted.fetch_add(1, Ordering::Relaxed);
-            serve(item, false)
+            serve(false)
         } else {
             match self.config.overload {
                 OverloadPolicy::Shed => {
@@ -663,28 +508,26 @@ impl JuryService {
                 }
                 OverloadPolicy::Coarsen => {
                     counters.coarsened.fetch_add(1, Ordering::Relaxed);
-                    serve(item, true)
+                    serve(true)
                 }
             }
         }
     }
 
-    /// Serves a batch of requests, data-parallel across worker threads, all
-    /// sharing this service's JQ-evaluation cache.
+    /// Serves a batch of requests — [`SelectionRequest`]s,
+    /// [`MultiClassSelectionRequest`]s, or [`MixedRequest`]s of both kinds —
+    /// data-parallel across [`ServiceConfig::batch_threads`] worker
+    /// threads, all sharing this service's JQ-evaluation cache. Every slot
+    /// runs through the same request core as [`Self::select`] and
+    /// [`Self::select_multiclass`], so a slot answers exactly what the
+    /// single call would.
     ///
     /// Failures are per-request: one invalid request yields an `Err` in its
     /// slot without disturbing the others. The result order matches the
     /// request order. When [`ServiceConfig::max_in_flight`] is set, every
-    /// request passes the admission gate (see [`OverloadPolicy`]).
-    pub fn select_batch(
-        &self,
-        requests: &[SelectionRequest],
-    ) -> Vec<Result<SelectionResponse, ServiceError>> {
-        self.select_batch_with_metrics(requests).results
-    }
-
-    /// [`Self::select_batch`] plus the batch's [`BatchMetrics`]: admission
-    /// counts, the in-flight peak, and per-shard cache snapshots.
+    /// request passes the admission gate (see [`OverloadPolicy`]). The
+    /// outcome also carries the batch's [`BatchMetrics`]: admission counts,
+    /// the in-flight peak, and per-shard cache snapshots.
     ///
     /// ```
     /// use jury_model::paper_example_pool;
@@ -692,33 +535,20 @@ impl JuryService {
     ///
     /// let service = JuryService::paper_experiments();
     /// let batch = vec![SelectionRequest::new(paper_example_pool(), 15.0); 4];
-    /// let outcome = service.select_batch_with_metrics(&batch);
+    /// let outcome = service.select_batch(&batch);
     /// assert_eq!(outcome.results.len(), 4);
     /// // Admission control is off by default: everything is admitted.
     /// assert_eq!(outcome.metrics.admitted, 4);
     /// assert_eq!(outcome.metrics.shed + outcome.metrics.coarsened, 0);
     /// assert_eq!(outcome.metrics.shards.len(), 8);
     /// ```
-    pub fn select_batch_with_metrics(
-        &self,
-        requests: &[SelectionRequest],
-    ) -> BatchOutcome<SelectionResponse> {
+    ///
+    /// Mixed batches of both kinds are served the same way (see
+    /// [`ServeRequest`]).
+    pub fn select_batch<R: ServeRequest>(&self, requests: &[R]) -> BatchOutcome<R::Response> {
         let counters = AdmissionCounters::default();
-        // Batch wins the cores: once the batch itself fans out across
-        // worker threads, each slot's solver runs its lanes sequentially
-        // rather than oversubscribing (see `ServiceConfig::solver_threads`).
-        let sequential_solver = self.batch_threads(requests.len()) > 1;
         let results = self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, |request, coarsen| {
-                if coarsen {
-                    self.select_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_inner(request, sequential_solver)
-                }
-            })
+            self.serve_gated(&counters, |coarsen| request.serve_in(self, coarsen))
         });
         BatchOutcome {
             results,
@@ -726,60 +556,8 @@ impl JuryService {
         }
     }
 
-    /// Serves a batch of multi-class requests through the same
-    /// thread-parallel machinery (and the same shared cache) as
-    /// [`Self::select_batch`]; per-request failure semantics, result
-    /// ordering, and the admission gate are identical.
-    pub fn select_multiclass_batch(
-        &self,
-        requests: &[MultiClassSelectionRequest],
-    ) -> Vec<Result<MultiClassSelectionResponse, ServiceError>> {
-        let counters = AdmissionCounters::default();
-        let sequential_solver = self.batch_threads(requests.len()) > 1;
-        self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, |request, coarsen| {
-                if coarsen {
-                    self.select_multiclass_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_multiclass_inner(request, sequential_solver)
-                }
-            })
-        })
-    }
-
-    /// Serves a **mixed** batch — binary and multi-class requests side by
-    /// side — through the one thread-parallel engine. Both kinds memoize
-    /// into the one shared JQ store (their signature key spaces are
-    /// disjoint), so overlapping work across kinds is paid once per batch;
-    /// [`Self::cache_stats`] reports the per-kind hit accounting.
-    ///
-    /// ```
-    /// use jury_model::{paper_example_pool, MatrixPool};
-    /// use jury_service::{JuryService, MixedRequest, MultiClassSelectionRequest, SelectionRequest};
-    ///
-    /// let service = JuryService::paper_experiments();
-    /// let matrix_pool =
-    ///     MatrixPool::from_qualities_and_costs(&[0.9, 0.7, 0.6], &[2.0, 1.0, 1.0], 3).unwrap();
-    /// let batch: Vec<MixedRequest> = vec![
-    ///     SelectionRequest::new(paper_example_pool(), 15.0).into(),
-    ///     MultiClassSelectionRequest::new(matrix_pool, 3.0).into(),
-    /// ];
-    /// let responses = service.select_mixed_batch(&batch);
-    /// assert!(responses[0].as_ref().unwrap().as_binary().is_some());
-    /// assert!(responses[1].as_ref().unwrap().as_multi_class().is_some());
-    /// ```
-    pub fn select_mixed_batch(
-        &self,
-        requests: &[MixedRequest],
-    ) -> Vec<Result<MixedResponse, ServiceError>> {
-        self.select_mixed_batch_with_metrics(requests).results
-    }
-
-    /// [`Self::select_mixed_batch`] plus the batch's [`BatchMetrics`] —
-    /// the mixed-kind sibling of [`Self::select_batch_with_metrics`].
+    /// [`Self::select_batch`] over a mixed batch. Kept as a named entry
+    /// point because the request-level benchmark in `perfbench/` calls it.
     ///
     /// With admission control on, over-capacity slots are shed or
     /// coarsened regardless of their kind:
@@ -810,42 +588,14 @@ impl JuryService {
         &self,
         requests: &[MixedRequest],
     ) -> BatchOutcome<MixedResponse> {
-        let counters = AdmissionCounters::default();
-        let sequential_solver = self.batch_threads(requests.len()) > 1;
-        let results = self.run_batch(requests, |request| {
-            self.serve_gated(request, &counters, |request, coarsen| match request {
-                MixedRequest::Binary(request) => if coarsen {
-                    self.select_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_inner(request, sequential_solver)
-                }
-                .map(MixedResponse::Binary),
-                MixedRequest::MultiClass(request) => if coarsen {
-                    self.select_multiclass_inner(
-                        &request.clone().with_policy(SolverPolicy::Greedy),
-                        sequential_solver,
-                    )
-                } else {
-                    self.select_multiclass_inner(request, sequential_solver)
-                }
-                .map(MixedResponse::MultiClass),
-            })
-        });
-        BatchOutcome {
-            results,
-            metrics: counters.into_metrics(self.cache.shard_stats()),
-        }
+        self.select_batch(requests)
     }
 
+    /// Worker threads for a batch of `batch_len` requests:
+    /// [`ServiceConfig::batch_threads`], where `0` means one per available
+    /// CPU core, clamped so no thread starts idle.
     fn batch_threads(&self, batch_len: usize) -> usize {
-        // Batch fan-out resolves its thread count through the same policy
-        // as the intra-solve lanes (`0` = one per core, clamped to the
-        // work), so `ServiceConfig::with_worker_threads` means the same
-        // thing at both levels.
-        ParallelPolicy::Threads(self.config.batch_threads).lanes(batch_len)
+        parallel::lanes(self.config.batch_threads, batch_len)
     }
 
     /// Builds the Figure-1 style budget–quality table.
@@ -879,7 +629,7 @@ impl JuryService {
         budgets: &[f64],
         prior: Prior,
     ) -> Result<BudgetQualityTable, ServiceError> {
-        self.budget_table_budgeted(pool, budgets, prior, SearchBudget::unlimited())
+        self.binary_budget_table(pool, budgets, prior, SearchBudget::unlimited())
             .map(|(table, _)| table)
     }
 
@@ -898,7 +648,7 @@ impl JuryService {
         prior: Prior,
         deadline: Duration,
     ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        self.budget_table_budgeted(
+        self.binary_budget_table(
             pool,
             budgets,
             prior,
@@ -906,104 +656,23 @@ impl JuryService {
         )
     }
 
-    fn budget_table_budgeted(
+    fn binary_budget_table(
         &self,
         pool: &WorkerPool,
         budgets: &[f64],
         prior: Prior,
         search_budget: SearchBudget,
     ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        let beyond_exact = pool.len() > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
-        if beyond_exact && self.config.sweep != SweepPolicy::Cold {
-            Self::validate_sweep_budgets(budgets)?;
-            let objective = BvObjective::with_engine(self.config.jq_engine());
-            return Ok(match self.config.sweep {
-                SweepPolicy::WarmMarginal => BudgetQualityTable::build_warm_budgeted(
-                    pool,
-                    budgets,
-                    prior,
-                    &objective,
-                    search_budget,
-                ),
-                SweepPolicy::WarmAnnealing => BudgetQualityTable::build_warm_annealing_budgeted(
-                    pool,
-                    budgets,
-                    prior,
-                    &objective,
-                    self.config.annealing,
-                    search_budget,
-                ),
-                SweepPolicy::Cold => unreachable!("cold sweeps take the batch path"),
-            });
-        }
-        // Batch path: per-budget requests. Without a deadline they are
-        // served thread-parallel as one batch. Under a sweep deadline the
-        // rows are served sequentially instead, each granted an equal share
-        // of the time *still remaining* — recomputed after every completed
-        // row, so time a fast row leaves unspent is reclaimed by the rows
-        // behind it and the whole sweep is bounded by the one deadline
-        // (handing every row the full remainder up front would let the
-        // sweep run for rows × deadline). Rows that exhaust their share
-        // keep their anytime best-so-far jury and flip the truncation flag
-        // instead of erroring.
-        let build_request = |budget: f64| {
-            let mut request = SelectionRequest::new(pool.clone(), budget)
-                .with_prior(prior)
-                .allow_empty_selection(true);
-            if let Some(max) = search_budget.max_evaluations() {
-                request = request.with_evaluation_limit(max);
-            }
-            request
-        };
-        let results: Vec<Result<SelectionResponse, ServiceError>> = match search_budget.deadline() {
-            Some(at) => budgets
-                .iter()
-                .enumerate()
-                .map(|(row, &budget)| {
-                    let rows_left = (budgets.len() - row) as u32;
-                    let share = at.saturating_duration_since(Instant::now()) / rows_left;
-                    self.select(&build_request(budget).with_deadline(share))
-                })
-                .collect(),
-            None => {
-                let requests: Vec<SelectionRequest> = budgets
-                    .iter()
-                    .map(|&budget| build_request(budget))
-                    .collect();
-                self.select_batch(&requests)
-            }
-        };
-        let mut truncated = false;
-        let rows = results
-            .into_iter()
-            .zip(budgets)
-            .map(|(result, &budget)| {
-                let response = match result {
-                    Ok(response) => response,
-                    Err(ServiceError::DeadlineExceeded {
-                        best_so_far: Some(best),
-                    }) => match *best {
-                        MixedResponse::Binary(response) => {
-                            truncated = true;
-                            response
-                        }
-                        other => {
-                            return Err(ServiceError::DeadlineExceeded {
-                                best_so_far: Some(Box::new(other)),
-                            })
-                        }
-                    },
-                    Err(err) => return Err(err),
-                };
-                Ok(BudgetQualityRow {
-                    budget,
-                    jury: response.worker_ids(),
-                    quality: response.quality,
-                    required_budget: response.cost,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((BudgetQualityTable::from_rows(rows), truncated))
+        self.budget_table(
+            pool.len(),
+            budgets,
+            search_budget,
+            || {
+                let objective = BvObjective::with_engine(self.config.jq_engine());
+                Ok((Cow::Borrowed(pool), prior, objective))
+            },
+            |budget| SelectionRequest::new(pool.clone(), budget).with_prior(prior),
+        )
     }
 
     /// Builds the budget–quality table for a **multi-class**
@@ -1017,67 +686,75 @@ impl JuryService {
     /// objective looks the matrices back up by id), carrying one search
     /// state — and one `IncrementalMultiClassJq` session, past the
     /// crossover cutoff — across ascending budgets. Small pools are solved
-    /// per budget through [`Self::select_multiclass_batch`], exhaustively
-    /// within the exact cutoff.
+    /// per budget through [`Self::select_batch`], exhaustively within the
+    /// exact cutoff.
     pub fn multiclass_budget_quality_table(
         &self,
         pool: &MatrixPool,
         budgets: &[f64],
         prior: &CategoricalPrior,
     ) -> Result<BudgetQualityTable, ServiceError> {
-        self.multiclass_budget_table_budgeted(pool, budgets, prior, SearchBudget::unlimited())
-            .map(|(table, _)| table)
-    }
-
-    /// [`Self::multiclass_budget_quality_table`] under one shared
-    /// wall-clock deadline — the multi-class sibling of
-    /// [`Self::budget_quality_table_with_deadline`], with the same anytime
-    /// semantics for the returned truncation flag.
-    pub fn multiclass_budget_quality_table_with_deadline(
-        &self,
-        pool: &MatrixPool,
-        budgets: &[f64],
-        prior: &CategoricalPrior,
-        deadline: Duration,
-    ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        self.multiclass_budget_table_budgeted(
-            pool,
+        self.budget_table(
+            pool.len(),
             budgets,
-            prior,
-            SearchBudget::unlimited().with_deadline_in(deadline),
+            SearchBudget::unlimited(),
+            || {
+                // A prior/pool label-count mismatch is rejected by the
+                // objective constructor and surfaces as
+                // `ServiceError::InvalidPriorVector` through the
+                // `ModelError` conversion.
+                let objective =
+                    CachedMultiClassObjective::new(pool, prior, &self.config, &self.cache)?;
+                Self::check_multiclass_capacity(&objective, pool, &self.config)?;
+                // The binary prior slot of the shadow instances is unused —
+                // the categorical prior is part of the objective's identity.
+                Ok((Cow::Owned(pool.shadow_pool()), Prior::uniform(), objective))
+            },
+            |budget| {
+                MultiClassSelectionRequest::new(pool.clone(), budget).with_prior(prior.clone())
+            },
         )
+        .map(|(table, _)| table)
     }
 
-    fn multiclass_budget_table_budgeted(
+    /// The one budget–quality table builder behind both request kinds.
+    ///
+    /// Pools beyond the exact cutoff ride the configured warm sweep over
+    /// the pool, prior and objective `warm` builds. Everything else is
+    /// served one request per budget (`request`) through the request core.
+    /// Without a deadline the rows go out thread-parallel as one batch.
+    /// Under a sweep deadline they are served sequentially instead, each
+    /// granted an equal share of the time *still remaining* — recomputed
+    /// after every completed row, so time a fast row leaves unspent is
+    /// reclaimed by the rows behind it and the whole sweep is bounded by
+    /// the one deadline (handing every row the full remainder up front
+    /// would let the sweep run for rows × deadline). Rows that exhaust
+    /// their share keep their anytime best-so-far jury and flip the
+    /// truncation flag instead of erroring.
+    fn budget_table<'p, R: RequestKind, O: JuryObjective>(
         &self,
-        pool: &MatrixPool,
+        pool_len: usize,
         budgets: &[f64],
-        prior: &CategoricalPrior,
         search_budget: SearchBudget,
+        warm: impl FnOnce() -> Result<(Cow<'p, WorkerPool>, Prior, O), ServiceError>,
+        request: impl Fn(f64) -> R,
     ) -> Result<(BudgetQualityTable, bool), ServiceError> {
-        let beyond_exact = pool.len() > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
+        let beyond_exact = pool_len > self.config.exact_cutoff.min(MAX_EXHAUSTIVE_POOL);
         if beyond_exact && self.config.sweep != SweepPolicy::Cold {
             Self::validate_sweep_budgets(budgets)?;
-            // A prior/pool label-count mismatch is rejected by the objective
-            // constructor and surfaces as `ServiceError::InvalidPriorVector`
-            // through the `ModelError` conversion.
-            let objective = CachedMultiClassObjective::new(pool, prior, &self.config, &self.cache)?;
-            Self::check_multiclass_capacity(&objective, pool, &self.config)?;
-            let shadow = pool.shadow_pool();
-            // The binary prior slot of the shadow instances is unused — the
-            // categorical prior is part of the objective's identity.
+            let (pool, prior, objective) = warm()?;
             return Ok(match self.config.sweep {
                 SweepPolicy::WarmMarginal => BudgetQualityTable::build_warm_budgeted(
-                    &shadow,
+                    &pool,
                     budgets,
-                    Prior::uniform(),
+                    prior,
                     &objective,
                     search_budget,
                 ),
                 SweepPolicy::WarmAnnealing => BudgetQualityTable::build_warm_annealing_budgeted(
-                    &shadow,
+                    &pool,
                     budgets,
-                    Prior::uniform(),
+                    prior,
                     &objective,
                     self.config.annealing,
                     search_budget,
@@ -1085,64 +762,56 @@ impl JuryService {
                 SweepPolicy::Cold => unreachable!("cold sweeps take the batch path"),
             });
         }
-        // Same per-row deadline redistribution as the binary table path:
-        // sequential rows under a deadline, each granted an equal share of
-        // the time still remaining so unspent time flows to later rows.
-        let build_request = |budget: f64| {
-            let mut request = MultiClassSelectionRequest::new(pool.clone(), budget)
-                .with_prior(prior.clone())
-                .allow_empty_selection(true);
-            if let Some(max) = search_budget.max_evaluations() {
-                request = request.with_evaluation_limit(max);
-            }
+        let row_request = |budget: f64, deadline: Option<Duration>| {
+            let mut request = request(budget);
+            let common = request.common_mut();
+            common.allow_empty = true;
+            common.max_evaluations = search_budget.max_evaluations();
+            common.deadline = deadline;
             request
         };
-        let results: Vec<Result<MultiClassSelectionResponse, ServiceError>> =
-            match search_budget.deadline() {
-                Some(at) => budgets
+        let results: Vec<Result<R::Response, ServiceError>> = match search_budget.deadline() {
+            Some(at) => budgets
+                .iter()
+                .enumerate()
+                .map(|(row, &budget)| {
+                    let rows_left = (budgets.len() - row) as u32;
+                    let share = at.saturating_duration_since(Instant::now()) / rows_left;
+                    self.serve(&row_request(budget, Some(share)), false)
+                })
+                .collect(),
+            None => {
+                let requests: Vec<R> = budgets
                     .iter()
-                    .enumerate()
-                    .map(|(row, &budget)| {
-                        let rows_left = (budgets.len() - row) as u32;
-                        let share = at.saturating_duration_since(Instant::now()) / rows_left;
-                        self.select_multiclass(&build_request(budget).with_deadline(share))
-                    })
-                    .collect(),
-                None => {
-                    let requests: Vec<MultiClassSelectionRequest> = budgets
-                        .iter()
-                        .map(|&budget| build_request(budget))
-                        .collect();
-                    self.select_multiclass_batch(&requests)
-                }
-            };
+                    .map(|&budget| row_request(budget, None))
+                    .collect();
+                self.select_batch(&requests).results
+            }
+        };
         let mut truncated = false;
         let rows = results
             .into_iter()
             .zip(budgets)
             .map(|(result, &budget)| {
                 let response = match result {
-                    Ok(response) => response,
+                    Ok(response) => R::into_mixed(response),
                     Err(ServiceError::DeadlineExceeded {
                         best_so_far: Some(best),
-                    }) => match *best {
-                        MixedResponse::MultiClass(response) => {
-                            truncated = true;
-                            response
-                        }
-                        other => {
-                            return Err(ServiceError::DeadlineExceeded {
-                                best_so_far: Some(Box::new(other)),
-                            })
-                        }
-                    },
+                    }) => {
+                        truncated = true;
+                        *best
+                    }
                     Err(err) => return Err(err),
+                };
+                let (jury, quality, required_budget) = match response {
+                    MixedResponse::Binary(r) => (r.worker_ids(), r.quality, r.cost),
+                    MixedResponse::MultiClass(r) => (r.worker_ids(), r.quality, r.cost),
                 };
                 Ok(BudgetQualityRow {
                     budget,
-                    jury: response.worker_ids(),
-                    quality: response.quality,
-                    required_budget: response.cost,
+                    jury,
+                    quality,
+                    required_budget,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -1159,6 +828,282 @@ impl JuryService {
             }
         }
         Ok(())
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for crate::SelectionRequest {}
+    impl Sealed for crate::MultiClassSelectionRequest {}
+    impl Sealed for crate::MixedRequest {}
+}
+
+/// A request [`JuryService::select_batch`] can serve: a
+/// [`SelectionRequest`], a [`MultiClassSelectionRequest`], or a
+/// [`MixedRequest`] of either kind. Sealed: the service's request core
+/// knows exactly these kinds.
+///
+/// A mixed batch serves both kinds side by side; they memoize into the one
+/// shared store (their signature key spaces are disjoint):
+///
+/// ```
+/// use jury_model::{paper_example_pool, MatrixPool};
+/// use jury_service::{JuryService, MixedRequest, MultiClassSelectionRequest, SelectionRequest};
+///
+/// let service = JuryService::paper_experiments();
+/// let matrix_pool =
+///     MatrixPool::from_qualities_and_costs(&[0.9, 0.7, 0.6], &[2.0, 1.0, 1.0], 3).unwrap();
+/// let mixed: Vec<MixedRequest> = vec![
+///     SelectionRequest::new(paper_example_pool(), 15.0).into(),
+///     MultiClassSelectionRequest::new(matrix_pool, 3.0).into(),
+/// ];
+/// let responses = service.select_batch(&mixed).results;
+/// assert!(responses[0].as_ref().unwrap().as_binary().is_some());
+/// assert!(responses[1].as_ref().unwrap().as_multi_class().is_some());
+/// ```
+pub trait ServeRequest: sealed::Sealed + Sync {
+    /// What one served request answers with.
+    type Response: Send;
+
+    /// Serves the request through the service's request core; `coarsen`
+    /// downgrades its solver policy to [`SolverPolicy::Greedy`].
+    #[doc(hidden)]
+    fn serve_in(
+        &self,
+        service: &JuryService,
+        coarsen: bool,
+    ) -> Result<Self::Response, ServiceError>;
+}
+
+/// The kind-specific steps of the request core ([`JuryService::serve`]).
+trait RequestKind: ServeRequest {
+    /// The validated task prior.
+    type Prior;
+    /// The cache-backed objective the search scores juries with.
+    type Objective<'c>: JuryObjective;
+
+    /// The fields both kinds share.
+    fn common(&self) -> &RequestCommon;
+    /// Mutable access to the shared fields (for per-budget table rows).
+    fn common_mut(&mut self) -> &mut RequestCommon;
+    /// Validates the prior — the first check the core runs.
+    fn prior(&self) -> Result<Self::Prior, ServiceError>;
+    /// The cheapest candidate's cost, `None` for an empty pool.
+    fn cheapest_cost(&self) -> Option<f64>;
+    /// Builds the search instance and the cache-backed objective. The
+    /// multi-class kind also refuses pools whose session grid cannot fit
+    /// the configured cell budget here.
+    fn build<'c>(
+        &self,
+        prior: Self::Prior,
+        policy: &SolverPolicy,
+        config: &ServiceConfig,
+        cache: &'c JqCache,
+    ) -> Result<(JspInstance, Self::Objective<'c>), ServiceError>;
+    /// Whether large `Auto` pools run the [`MvjsSolver`] baseline instead
+    /// of plain annealing.
+    fn mv_baseline(&self) -> bool {
+        false
+    }
+    /// Builds the response from the solver's result.
+    fn respond(
+        &self,
+        objective: &Self::Objective<'_>,
+        result: SolverResult,
+        policy: SolverPolicy,
+        started: Instant,
+    ) -> Self::Response;
+    /// Wraps a response for [`ServiceError::DeadlineExceeded`].
+    fn into_mixed(response: Self::Response) -> MixedResponse;
+}
+
+/// The cheapest of a pool's costs, `None` for an empty pool.
+fn cheapest(costs: impl Iterator<Item = f64>) -> Option<f64> {
+    costs.min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+}
+
+impl ServeRequest for SelectionRequest {
+    type Response = SelectionResponse;
+
+    fn serve_in(
+        &self,
+        service: &JuryService,
+        coarsen: bool,
+    ) -> Result<SelectionResponse, ServiceError> {
+        service.serve(self, coarsen)
+    }
+}
+
+impl RequestKind for SelectionRequest {
+    type Prior = Prior;
+    type Objective<'c> = CachedObjective<'c>;
+
+    fn common(&self) -> &RequestCommon {
+        &self.common
+    }
+
+    fn common_mut(&mut self) -> &mut RequestCommon {
+        &mut self.common
+    }
+
+    fn prior(&self) -> Result<Prior, ServiceError> {
+        Prior::new(self.prior_alpha()).map_err(|_| ServiceError::InvalidPrior {
+            value: self.prior_alpha(),
+        })
+    }
+
+    fn cheapest_cost(&self) -> Option<f64> {
+        cheapest(self.pool().iter().map(|w| w.cost()))
+    }
+
+    fn build<'c>(
+        &self,
+        prior: Prior,
+        _policy: &SolverPolicy,
+        config: &ServiceConfig,
+        cache: &'c JqCache,
+    ) -> Result<(JspInstance, CachedObjective<'c>), ServiceError> {
+        let instance = JspInstance::new(self.pool().clone(), self.budget(), prior)?;
+        let objective = CachedObjective::new(config.jq_engine(), self.strategy(), cache);
+        Ok((instance, objective))
+    }
+
+    // The MV baseline keeps its odd-size top-quality candidates on large
+    // `Auto` pools, exactly like the historical Mvjs system.
+    fn mv_baseline(&self) -> bool {
+        self.strategy() == Strategy::Mv
+    }
+
+    fn respond(
+        &self,
+        objective: &CachedObjective<'_>,
+        result: SolverResult,
+        policy: SolverPolicy,
+        started: Instant,
+    ) -> SelectionResponse {
+        SelectionResponse {
+            quality: result.objective_value,
+            cost: result.jury.cost(),
+            jury: result.jury,
+            strategy: self.strategy(),
+            policy,
+            solver: result.solver,
+            evaluations: objective.evaluations(),
+            cache_hits: objective.local_hits(),
+            elapsed: started.elapsed(),
+        }
+    }
+
+    fn into_mixed(response: SelectionResponse) -> MixedResponse {
+        MixedResponse::Binary(response)
+    }
+}
+
+impl ServeRequest for MultiClassSelectionRequest {
+    type Response = MultiClassSelectionResponse;
+
+    fn serve_in(
+        &self,
+        service: &JuryService,
+        coarsen: bool,
+    ) -> Result<MultiClassSelectionResponse, ServiceError> {
+        service.serve(self, coarsen)
+    }
+}
+
+impl RequestKind for MultiClassSelectionRequest {
+    type Prior = CategoricalPrior;
+    type Objective<'c> = CachedMultiClassObjective<'c>;
+
+    fn common(&self) -> &RequestCommon {
+        &self.common
+    }
+
+    fn common_mut(&mut self) -> &mut RequestCommon {
+        &mut self.common
+    }
+
+    fn prior(&self) -> Result<CategoricalPrior, ServiceError> {
+        Ok(match self.prior_probs() {
+            Some(probs) => CategoricalPrior::new(probs.to_vec())?,
+            None => CategoricalPrior::uniform(self.pool().num_choices())?,
+        })
+    }
+
+    // A `MatrixPool` cannot be empty, so the empty-pool check never fires.
+    fn cheapest_cost(&self) -> Option<f64> {
+        cheapest(self.pool().iter().map(|w| w.cost()))
+    }
+
+    fn build<'c>(
+        &self,
+        prior: CategoricalPrior,
+        policy: &SolverPolicy,
+        config: &ServiceConfig,
+        cache: &'c JqCache,
+    ) -> Result<(JspInstance, CachedMultiClassObjective<'c>), ServiceError> {
+        let pool = self.pool();
+        // A prior whose label count disagrees with the pool's is rejected
+        // here and surfaces as `ServiceError::InvalidPriorVector` through
+        // the `ModelError` conversion.
+        let objective = CachedMultiClassObjective::new(pool, &prior, config, cache)?;
+        if *policy != SolverPolicy::Exact {
+            JuryService::check_multiclass_capacity(&objective, pool, config)?;
+        }
+        // The solvers run over the pool's shadow projection (ids and
+        // costs) while the objective scores the full matrices; the binary
+        // prior slot is unused.
+        let instance = JspInstance::new(pool.shadow_pool(), self.budget(), Prior::uniform())?;
+        Ok((instance, objective))
+    }
+
+    fn respond(
+        &self,
+        objective: &CachedMultiClassObjective<'_>,
+        result: SolverResult,
+        policy: SolverPolicy,
+        started: Instant,
+    ) -> MultiClassSelectionResponse {
+        // The objective's own resolution (borrowed members, foreign ids
+        // dropped) is the single source of truth for what was scored.
+        let members = objective
+            .members(&result.jury)
+            .into_iter()
+            .cloned()
+            .collect();
+        MultiClassSelectionResponse {
+            quality: result.objective_value,
+            cost: result.jury.cost(),
+            members,
+            policy,
+            solver: result.solver,
+            evaluations: objective.evaluations(),
+            cache_hits: objective.local_hits(),
+            elapsed: started.elapsed(),
+        }
+    }
+
+    fn into_mixed(response: MultiClassSelectionResponse) -> MixedResponse {
+        MixedResponse::MultiClass(response)
+    }
+}
+
+impl ServeRequest for MixedRequest {
+    type Response = MixedResponse;
+
+    fn serve_in(
+        &self,
+        service: &JuryService,
+        coarsen: bool,
+    ) -> Result<MixedResponse, ServiceError> {
+        match self {
+            MixedRequest::Binary(request) => {
+                service.serve(request, coarsen).map(MixedResponse::Binary)
+            }
+            MixedRequest::MultiClass(request) => service
+                .serve(request, coarsen)
+                .map(MixedResponse::MultiClass),
+        }
     }
 }
 
@@ -1188,25 +1133,120 @@ mod tests {
         assert!(response.evaluations > 0);
     }
 
+    fn assert_same_binary(got: &SelectionResponse, want: &SelectionResponse, threads: usize) {
+        assert_eq!(got.worker_ids(), want.worker_ids(), "{threads} threads");
+        assert_eq!(
+            got.quality.to_bits(),
+            want.quality.to_bits(),
+            "{threads} threads"
+        );
+        assert_eq!(got.evaluations, want.evaluations, "{threads} threads");
+        assert_eq!(got.solver, want.solver, "{threads} threads");
+    }
+
+    fn assert_same_multi(
+        got: &MultiClassSelectionResponse,
+        want: &MultiClassSelectionResponse,
+        threads: usize,
+    ) {
+        assert_eq!(got.worker_ids(), want.worker_ids(), "{threads} threads");
+        assert_eq!(
+            got.quality.to_bits(),
+            want.quality.to_bits(),
+            "{threads} threads"
+        );
+        assert_eq!(got.evaluations, want.evaluations, "{threads} threads");
+        assert_eq!(got.solver, want.solver, "{threads} threads");
+    }
+
     #[test]
     fn select_batch_matches_select_and_shares_the_cache() {
-        let service = paper_service();
-        let request = SelectionRequest::new(paper_example_pool(), 15.0);
-        let single = service.select(&request).unwrap();
+        // `batch_threads` is the service's only thread level, so the
+        // thread-count invariance of serving is pinned here: at 1, 2 and 4
+        // batch threads, every slot of a binary, multi-class or mixed batch
+        // answers exactly what the single call on the same service
+        // answers, bit for bit, and the answers do not depend on the
+        // thread count either.
+        let binary = [
+            SelectionRequest::new(paper_example_pool(), 15.0),
+            SelectionRequest::new(large_pool(40), 5.0)
+                .with_policy(SolverPolicy::Portfolio(Vec::new())),
+            SelectionRequest::new(large_pool(40), 5.0).with_policy(SolverPolicy::Greedy),
+        ];
+        let multi = [
+            MultiClassSelectionRequest::new(matrix_pool(), 6.0),
+            MultiClassSelectionRequest::new(large_matrix_pool(16), 5.0)
+                .with_policy(SolverPolicy::Annealing),
+        ];
+        let mut reference: Option<(Vec<SelectionResponse>, Vec<MultiClassSelectionResponse>)> =
+            None;
+        for threads in [1, 2, 4] {
+            let service =
+                JuryService::new(ServiceConfig::paper_experiments().with_batch_threads(threads));
+            let singles: Vec<SelectionResponse> = binary
+                .iter()
+                .map(|request| service.select(request).unwrap())
+                .collect();
+            let multi_singles: Vec<MultiClassSelectionResponse> = multi
+                .iter()
+                .map(|request| service.select_multiclass(request).unwrap())
+                .collect();
+            let warm = service.cache_stats();
 
-        let batch: Vec<SelectionRequest> = (0..64).map(|_| request.clone()).collect();
-        let responses = service.select_batch(&batch);
-        assert_eq!(responses.len(), 64);
-        for response in responses {
-            let response = response.unwrap();
-            assert_eq!(response.worker_ids(), single.worker_ids());
-            assert!((response.quality - single.quality).abs() < 1e-12);
+            let batch: Vec<SelectionRequest> = binary.iter().chain(&binary).cloned().collect();
+            let outcome = service.select_batch(&batch);
+            assert_eq!(outcome.results.len(), batch.len());
+            for (slot, result) in outcome.results.iter().enumerate() {
+                let response = result.as_ref().unwrap();
+                assert_same_binary(response, &singles[slot % binary.len()], threads);
+            }
+            let batch: Vec<MultiClassSelectionRequest> =
+                multi.iter().chain(&multi).cloned().collect();
+            for (slot, result) in service.select_batch(&batch).results.iter().enumerate() {
+                let response = result.as_ref().unwrap();
+                assert_same_multi(response, &multi_singles[slot % multi.len()], threads);
+            }
+            let mixed: Vec<MixedRequest> = binary
+                .iter()
+                .cloned()
+                .map(MixedRequest::from)
+                .chain(multi.iter().cloned().map(MixedRequest::from))
+                .collect();
+            for (slot, result) in service.select_batch(&mixed).results.iter().enumerate() {
+                match result.as_ref().unwrap() {
+                    MixedResponse::Binary(response) => {
+                        assert_same_binary(response, &singles[slot], threads)
+                    }
+                    MixedResponse::MultiClass(response) => {
+                        assert_same_multi(response, &multi_singles[slot - binary.len()], threads)
+                    }
+                }
+            }
+            // The batches replay the singles' evaluations, so every batch
+            // evaluation is a hit in the shared store.
+            let stats = service.cache_stats();
+            assert_eq!(stats.misses, warm.misses, "{threads} threads: {stats:?}");
+            assert!(stats.hits > warm.hits, "{threads} threads: {stats:?}");
+
+            // Across services the juries and evaluation counts agree
+            // exactly; the quality only to rounding, because the
+            // multi-class scratch DP sums in hash-map order.
+            match &reference {
+                None => reference = Some((singles, multi_singles)),
+                Some((binary_ref, multi_ref)) => {
+                    for (got, want) in singles.iter().zip(binary_ref) {
+                        assert_eq!(got.worker_ids(), want.worker_ids(), "{threads} threads");
+                        assert_eq!(got.evaluations, want.evaluations, "{threads} threads");
+                        assert!((got.quality - want.quality).abs() < 1e-12);
+                    }
+                    for (got, want) in multi_singles.iter().zip(multi_ref) {
+                        assert_eq!(got.worker_ids(), want.worker_ids(), "{threads} threads");
+                        assert_eq!(got.evaluations, want.evaluations, "{threads} threads");
+                        assert!((got.quality - want.quality).abs() < 1e-12);
+                    }
+                }
+            }
         }
-        let stats = service.cache_stats();
-        assert!(
-            stats.hits > stats.misses,
-            "batch should be cache-dominated: {stats:?}"
-        );
     }
 
     #[test]
@@ -1490,6 +1530,14 @@ mod tests {
         .unwrap()
     }
 
+    /// A 3-class pool past the exact cutoff but below the session
+    /// crossover: heuristic searches over the scratch DP.
+    fn large_matrix_pool(n: usize) -> MatrixPool {
+        let qualities: Vec<f64> = (0..n).map(|i| 0.55 + 0.02 * (i % 12) as f64).collect();
+        let costs: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64 * 0.5).collect();
+        MatrixPool::from_qualities_and_costs(&qualities, &costs, 3).unwrap()
+    }
+
     #[test]
     fn multiclass_select_round_trips_the_exhaustive_optimum() {
         let service = paper_service();
@@ -1517,7 +1565,7 @@ mod tests {
         let request = MultiClassSelectionRequest::new(matrix_pool(), 6.0);
         let single = service.select_multiclass(&request).unwrap();
         let batch: Vec<MultiClassSelectionRequest> = (0..16).map(|_| request.clone()).collect();
-        for response in service.select_multiclass_batch(&batch) {
+        for response in service.select_batch(&batch).results {
             let response = response.unwrap();
             assert_eq!(response.worker_ids(), single.worker_ids());
             assert!((response.quality - single.quality).abs() < 1e-12);
@@ -1532,7 +1580,7 @@ mod tests {
             batch.push(SelectionRequest::new(paper_example_pool(), 15.0).into());
             batch.push(MultiClassSelectionRequest::new(matrix_pool(), 6.0).into());
         }
-        let responses = service.select_mixed_batch(&batch);
+        let responses = service.select_batch(&batch).results;
         assert_eq!(responses.len(), 16);
         for (i, response) in responses.iter().enumerate() {
             let response = response.as_ref().unwrap();
@@ -1550,16 +1598,128 @@ mod tests {
         assert_eq!(stats.hits, stats.binary.hits + stats.multiclass.hits);
     }
 
+    /// An outcome's shape: the error variant (or `"ok"`), and whether the
+    /// response it carries, if any, is binary.
+    fn shape(result: Result<MixedResponse, ServiceError>) -> (&'static str, Option<bool>) {
+        let binary = |response: &MixedResponse| Some(response.as_binary().is_some());
+        match result {
+            Ok(response) => ("ok", binary(&response)),
+            Err(ServiceError::InvalidBudget { .. }) => ("InvalidBudget", None),
+            Err(ServiceError::BudgetBelowCheapestWorker { .. }) => {
+                ("BudgetBelowCheapestWorker", None)
+            }
+            Err(ServiceError::DeadlineExceeded {
+                best_so_far: Some(best),
+            }) => ("DeadlineExceeded", binary(&best)),
+            Err(err) => panic!("unexpected error: {err}"),
+        }
+    }
+
     #[test]
     fn multiclass_error_paths_are_typed() {
+        // Both kinds share one validation contract: every case gives the
+        // same outcome through `select`, `select_multiclass`, and
+        // `select_batch` of each kind (and mixed). Both pools' cheapest
+        // worker costs 2.
         let service = paper_service();
-        // Non-finite and negative budgets.
-        for bad in [f64::NAN, f64::INFINITY, -2.0] {
-            let err = service
-                .select_multiclass(&MultiClassSelectionRequest::new(matrix_pool(), bad))
-                .unwrap_err();
-            assert!(matches!(err, ServiceError::InvalidBudget { .. }), "{bad}");
+        let cases: [(f64, bool, Option<u64>, &str); 8] = [
+            (f64::NAN, false, None, "InvalidBudget"),
+            (f64::INFINITY, false, None, "InvalidBudget"),
+            (-2.0, false, None, "InvalidBudget"),
+            (0.0, false, None, "InvalidBudget"),
+            (0.0, true, None, "ok"),
+            (1.0, false, None, "BudgetBelowCheapestWorker"),
+            (1.0, true, None, "ok"),
+            (6.0, false, Some(0), "DeadlineExceeded"),
+        ];
+        for (budget, allow_empty, cap, expected) in cases {
+            let mut binary = SelectionRequest::new(paper_example_pool(), budget)
+                .with_policy(SolverPolicy::Annealing)
+                .allow_empty_selection(allow_empty);
+            let mut multi = MultiClassSelectionRequest::new(matrix_pool(), budget)
+                .with_policy(SolverPolicy::Annealing)
+                .allow_empty_selection(allow_empty);
+            if let Some(cap) = cap {
+                binary = binary.with_evaluation_limit(cap);
+                multi = multi.with_evaluation_limit(cap);
+            }
+            let mixed: Vec<MixedRequest> = vec![binary.clone().into(), multi.clone().into()];
+            let mut mixed_results = service.select_batch(&mixed).results.into_iter();
+            let outcomes = [
+                (
+                    shape(service.select(&binary).map(MixedResponse::Binary)),
+                    true,
+                ),
+                (
+                    shape(
+                        service.select_batch(std::slice::from_ref(&binary)).results[0]
+                            .clone()
+                            .map(MixedResponse::Binary),
+                    ),
+                    true,
+                ),
+                (shape(mixed_results.next().unwrap()), true),
+                (
+                    shape(
+                        service
+                            .select_multiclass(&multi)
+                            .map(MixedResponse::MultiClass),
+                    ),
+                    false,
+                ),
+                (
+                    shape(
+                        service.select_batch(std::slice::from_ref(&multi)).results[0]
+                            .clone()
+                            .map(MixedResponse::MultiClass),
+                    ),
+                    false,
+                ),
+                (shape(mixed_results.next().unwrap()), false),
+            ];
+            for (path, ((variant, carried), is_binary)) in outcomes.into_iter().enumerate() {
+                let case = format!("budget {budget}, allow_empty {allow_empty}, path {path}");
+                assert_eq!(variant, expected, "{case}");
+                if let Some(carried_binary) = carried {
+                    assert_eq!(carried_binary, is_binary, "{case}: wrong response kind");
+                }
+            }
         }
+
+        // A coarsened slot reports the greedy policy, whatever its kind.
+        // Pre-occupying the only in-flight slot makes every batch slot
+        // arrive over capacity, so the coarsening is deterministic.
+        let coarsening = JuryService::new(
+            ServiceConfig::paper_experiments()
+                .with_max_in_flight(1)
+                .with_overload_policy(OverloadPolicy::Coarsen)
+                .with_batch_threads(2),
+        );
+        coarsening.in_flight.store(1, Ordering::SeqCst);
+        let binary =
+            SelectionRequest::new(paper_example_pool(), 15.0).with_policy(SolverPolicy::Annealing);
+        let multi = MultiClassSelectionRequest::new(matrix_pool(), 6.0)
+            .with_policy(SolverPolicy::Annealing);
+        let outcome = coarsening.select_batch(&[binary.clone(), binary.clone()]);
+        assert_eq!(outcome.metrics.coarsened, 2);
+        for result in &outcome.results {
+            assert_eq!(result.as_ref().unwrap().policy, SolverPolicy::Greedy);
+        }
+        let outcome = coarsening.select_batch(&[multi.clone(), multi.clone()]);
+        assert_eq!(outcome.metrics.coarsened, 2);
+        for result in &outcome.results {
+            assert_eq!(result.as_ref().unwrap().policy, SolverPolicy::Greedy);
+        }
+        let outcome = coarsening.select_batch(&[MixedRequest::from(binary), multi.into()]);
+        assert_eq!(outcome.metrics.coarsened, 2);
+        for result in &outcome.results {
+            let policy = match result.as_ref().unwrap() {
+                MixedResponse::Binary(response) => &response.policy,
+                MixedResponse::MultiClass(response) => &response.policy,
+            };
+            assert_eq!(*policy, SolverPolicy::Greedy);
+        }
+
         // Invalid prior vectors (not a distribution / wrong arity).
         let err = service
             .select_multiclass(
@@ -1771,31 +1931,6 @@ mod tests {
             )
             .unwrap();
         assert!(response.quality >= annealed.quality - 1e-9);
-    }
-
-    #[test]
-    fn solver_threads_do_not_change_the_served_jury() {
-        // The unbudgeted parallel race keeps every lane a pure replay, so a
-        // threaded service serves exactly the sequential service's jury.
-        let sequential = JuryService::paper_experiments();
-        let threaded = JuryService::new(ServiceConfig::paper_experiments().with_solver_threads(2));
-        let request = SelectionRequest::new(large_pool(40), 5.0)
-            .with_policy(SolverPolicy::Portfolio(Vec::new()));
-        let base = sequential.select(&request).unwrap();
-        let raced = threaded.select(&request).unwrap();
-        assert_eq!(base.worker_ids(), raced.worker_ids());
-        assert_eq!(base.solver, raced.solver);
-        assert!((base.quality - raced.quality).abs() < 1e-12);
-
-        // Batch wins the cores: whether or not the batch fans out on this
-        // machine (forcing the slots' solvers sequential), every slot still
-        // serves the same jury as the single select.
-        let batch = vec![request.clone(); 4];
-        for slot in threaded.select_batch(&batch) {
-            let slot = slot.unwrap();
-            assert_eq!(slot.worker_ids(), base.worker_ids());
-            assert!((slot.quality - base.quality).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() {
         request.clone().with_strategy(Strategy::Mv),
     ];
     println!("select_batch: {} requests", batch.len());
-    for (i, result) in service.select_batch(&batch).iter().enumerate() {
+    for (i, result) in service.select_batch(&batch).results.iter().enumerate() {
         match result {
             Ok(response) => println!(
                 "  [{i}] ok:    {} jury {:?} at quality {:.3}",

@@ -104,7 +104,7 @@ fn mid_batch_deadline_cancels_only_the_slow_slot() {
         annealing_request().with_deadline(Duration::ZERO),
         annealing_request(),
     ];
-    let results = service.select_batch(&batch);
+    let results = service.select_batch(&batch).results;
     assert_eq!(results.len(), 3);
 
     // The deadline is anchored at each request's own serve start, so the

@@ -1,6 +1,6 @@
 //! Integration tests for the multi-class serving path of `jury-service`:
 //! `MatrixPool` requests round-tripping through `select_multiclass`,
-//! `select_multiclass_batch`, mixed batches, and
+//! `select_batch` over multi-class and mixed batches, and
 //! `multiclass_budget_quality_table`, pinned against direct
 //! `jury_selection::MultiClassJsp` solves — plus the per-kind cache
 //! accounting of the shared store and every documented error path.
@@ -123,7 +123,7 @@ fn batch_parity_and_mixed_kind_cache_accounting() {
         batch.push(binary_request.clone().into());
         batch.push(multi_request.clone().into());
     }
-    let responses = service.select_mixed_batch(&batch);
+    let responses = service.select_batch(&batch).results;
     assert_eq!(responses.len(), 24);
     for pair in responses.chunks(2) {
         let binary = pair[0].as_ref().unwrap().as_binary().unwrap();
@@ -249,7 +249,7 @@ fn cell_budget_overflow_is_a_typed_error_not_a_panic() {
     let err = service.select_multiclass(&request).unwrap_err();
     assert!(matches!(err, ServiceError::MultiClassStateTooLarge { .. }));
 
-    let slots = service.select_multiclass_batch(&[request.clone(), request]);
+    let slots = service.select_batch(&[request.clone(), request]).results;
     for slot in slots {
         assert!(matches!(
             slot.unwrap_err(),

@@ -35,7 +35,7 @@ fn shed_rejects_over_capacity_slots_with_a_typed_error() {
 
     // This call returning at all is the first assertion: the gate is
     // non-blocking, so a full queue can never hang the batch.
-    let outcome = service.select_batch_with_metrics(&batch);
+    let outcome = service.select_batch(&batch);
     assert_eq!(outcome.results.len(), batch.len());
 
     let mut served = 0;
@@ -75,7 +75,7 @@ fn coarsen_serves_every_slot_at_no_worse_than_the_greedy_floor() {
 
     let service = JuryService::new(gated_config(OverloadPolicy::Coarsen));
     let batch: Vec<SelectionRequest> = (0..16).map(|_| annealing_request()).collect();
-    let outcome = service.select_batch_with_metrics(&batch);
+    let outcome = service.select_batch(&batch);
 
     // Coarsening never sheds: every slot is served.
     let mut downgraded = 0;
@@ -107,7 +107,7 @@ fn coarsen_serves_every_slot_at_no_worse_than_the_greedy_floor() {
 fn the_gate_is_off_by_default_and_singletons_always_fit() {
     // Default config: no limit, nothing shed, the peak is never tracked.
     let service = JuryService::new(ServiceConfig::fast());
-    let outcome = service.select_batch_with_metrics(&[annealing_request(), annealing_request()]);
+    let outcome = service.select_batch(&[annealing_request(), annealing_request()]);
     assert!(outcome.results.iter().all(Result::is_ok));
     assert_eq!(outcome.metrics.admitted, 2);
     assert_eq!(outcome.metrics.peak_in_flight, 0);
@@ -115,7 +115,7 @@ fn the_gate_is_off_by_default_and_singletons_always_fit() {
 
     // A batch of one can never exceed a limit of one, whatever the policy.
     let gated = JuryService::new(gated_config(OverloadPolicy::Shed));
-    let outcome = gated.select_batch_with_metrics(&[annealing_request()]);
+    let outcome = gated.select_batch(&[annealing_request()]);
     assert!(outcome.results[0].is_ok());
     assert_eq!(outcome.metrics.admitted, 1);
     assert_eq!(outcome.metrics.shed, 0);
@@ -158,7 +158,7 @@ fn mixed_batches_pass_the_same_gate_regardless_of_kind() {
 fn shard_snapshots_in_metrics_reflect_the_configured_store() {
     let service = JuryService::new(ServiceConfig::fast().with_cache_shards(3));
     assert_eq!(service.num_cache_shards(), 3);
-    let outcome = service.select_batch_with_metrics(&[annealing_request()]);
+    let outcome = service.select_batch(&[annealing_request()]);
     assert_eq!(outcome.metrics.shards.len(), 3);
     // The batch populated the store: the shard counters saw the traffic.
     let total_misses: u64 = outcome.metrics.shards.iter().map(|s| s.misses).sum();

@@ -29,7 +29,7 @@ fn paper_example_round_trips_through_select_and_select_batch() {
 
     // Batch call: same answer in every slot.
     let batch: Vec<SelectionRequest> = (0..64).map(|_| request.clone()).collect();
-    for response in service.select_batch(&batch) {
+    for response in service.select_batch(&batch).results {
         let response = response.unwrap();
         assert_eq!(
             response.worker_ids(),
@@ -122,7 +122,7 @@ fn batch_reports_errors_per_request_without_aborting() {
         SelectionRequest::new(paper_example_pool(), 15.0).with_prior_alpha(7.0), // bad prior
         good,
     ];
-    let results = service.select_batch(&batch);
+    let results = service.select_batch(&batch).results;
     assert_eq!(results.len(), 6);
     assert!(results[0].is_ok());
     assert_eq!(results[1], Err(ServiceError::EmptyPool));
@@ -145,7 +145,7 @@ fn batch_results_preserve_request_order() {
         .iter()
         .map(|&b| SelectionRequest::new(paper_example_pool(), b))
         .collect();
-    let results = service.select_batch(&batch);
+    let results = service.select_batch(&batch).results;
     let expected = [0.75, 0.80, 0.845, 0.8695, 0.75, 0.80, 0.845, 0.8695];
     for (result, want) in results.iter().zip(expected.iter()) {
         let got = result.as_ref().unwrap().quality;
@@ -159,7 +159,7 @@ fn batch_shares_the_jq_cache_across_requests() {
     let batch: Vec<SelectionRequest> = (0..32)
         .map(|_| SelectionRequest::new(paper_example_pool(), 15.0))
         .collect();
-    let results = service.select_batch(&batch);
+    let results = service.select_batch(&batch).results;
     assert!(results.iter().all(|r| r.is_ok()));
     let stats = service.cache_stats();
     assert!(stats.hits > 0, "expected shared-cache hits, got {stats:?}");
